@@ -114,7 +114,7 @@ def _cmd_scene_init(args) -> int:
     views = capture_views(world, args.n_views, seed=args.seed)
     frames = [frame_from_view(world, iv, pv) for iv, pv in views]
     frames = [f for f in frames if f.n_points]
-    state = init_scene(frames, args.r, VoxelClusterConfig(k=args.k), n_threads=args.threads)
+    state = init_scene(frames, args.r, VoxelClusterConfig(k=args.k))
     save_scene(state, args.out)
     print(f"scene grid {state.layout.dims} with {state.grid.n_visible} visible voxels -> {args.out}")
     return 0
@@ -123,7 +123,7 @@ def _cmd_scene_init(args) -> int:
 def _cmd_scene_update(args) -> int:
     state = load_scene(args.scene)
     frame = load_frame(args.frame)
-    new_state = update_scene(state, frame, VoxelClusterConfig(k=args.k), n_threads=args.threads)
+    new_state = update_scene(state, frame, VoxelClusterConfig(k=args.k))
     save_scene(new_state, args.out)
     changed = int(np.sum(np.any(new_state.grid.features != state.grid.features, axis=-1)))
     print(f"updated t={state.t}->{new_state.t}, {changed} voxels changed -> {args.out}")
@@ -134,8 +134,7 @@ def _cmd_voxelize(args) -> int:
     frame = load_frame(args.frame_in)
     layout = grid_layout(frame.positions, args.r)
     vectors = feature_vectors(frame.positions, frame.features, layout.box_min, layout.box_max)
-    grid = voxelize(frame.positions, vectors, layout, VoxelClusterConfig(k=args.k),
-                    n_threads=args.threads)
+    grid = voxelize(frame.positions, vectors, layout, VoxelClusterConfig(k=args.k))
     save_grid(grid, args.out)
     print(f"grid {grid.layout.dims} with {grid.n_visible} visible voxels -> {args.out}")
     return 0
@@ -370,8 +369,6 @@ def _add_camera_flags(p):
 def build_parser() -> argparse.ArgumentParser:
     cfg = load_config()  # $SCENEFUSION_CONFIG when set, defaults otherwise
     parser = argparse.ArgumentParser(prog="scenefusion", description=__doc__)
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for voxelization (determinism-safe)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     world_p = sub.add_parser("world", help="world operations")

@@ -7,10 +7,11 @@ the hard-mask rule
 
     F[t+1] = F[t] * (1 - V_hat) + F_hat * V_hat
 
-applied element-wise with V_hat broadcast across the feature axis: freshly
-observed voxels take the frame's values verbatim, everything else keeps its
-old value. Scene visibility accumulates by OR, so once-seen voxels stay on
-the map. A frame that looks at a now-empty region contributes no points
+applied element-wise with V_hat broadcast across the feature axis. It is
+computed as a select, not with the arithmetic above, so freshly observed
+voxels take the frame's bits verbatim and everything else keeps its old bits,
+signed zeros included. Scene visibility accumulates by OR, so once-seen
+voxels stay on the map. A frame that looks at a now-empty region contributes no points
 there (V_hat = 0), so stale features persist until something is observed in
 that voxel again.
 """
@@ -92,7 +93,6 @@ def init_scene(
     resolution: float,
     cfg: VoxelClusterConfig,
     explicit_bounds=None,
-    n_threads: int = 1,
 ) -> SceneState:
     """Aggregate frames, freeze the layout over their bounds, and voxelize."""
     agg = aggregate_frames(frames)
@@ -102,7 +102,7 @@ def init_scene(
         layout = grid_layout(agg.positions, resolution)
     vectors = _layout_vectors(agg.positions, agg.features, layout)
     oob = "drop" if explicit_bounds is not None else "error"
-    grid = voxelize(agg.positions, vectors, layout, cfg, out_of_bounds=oob, n_threads=n_threads)
+    grid = voxelize(agg.positions, vectors, layout, cfg, out_of_bounds=oob)
     return SceneState(grid=grid, t=0)
 
 
@@ -110,7 +110,6 @@ def frame_to_grid(
     frame: Frame3D,
     layout: GridLayout,
     cfg: VoxelClusterConfig,
-    n_threads: int = 1,
 ) -> VoxelGrid:
     """Voxelize one frame into the scene's frozen layout.
 
@@ -127,21 +126,20 @@ def frame_to_grid(
             stacklevel=2,
         )
     vectors = _layout_vectors(frame.positions, frame.features, layout)
-    return voxelize(frame.positions, vectors, layout, cfg, out_of_bounds="drop", n_threads=n_threads)
+    return voxelize(frame.positions, vectors, layout, cfg, out_of_bounds="drop")
 
 
 def update_scene(
     state: SceneState,
     frame: Frame3D,
     cfg: VoxelClusterConfig,
-    n_threads: int = 1,
 ) -> SceneState:
     """Masked overwrite of the scene grid by a fresh observation.
 
     Returns a new SceneState; the input is untouched. Voxels the frame sees
     take the frame's features exactly; all others keep their previous bits.
     """
-    frame_grid = frame_to_grid(frame, state.layout, cfg, n_threads=n_threads)
+    frame_grid = frame_to_grid(frame, state.layout, cfg)
     return merge_frame_grid(state, frame_grid)
 
 
@@ -149,8 +147,7 @@ def merge_frame_grid(state: SceneState, frame_grid: VoxelGrid) -> SceneState:
     """Apply the hard-mask merge given an already-voxelized frame grid."""
     if frame_grid.layout.dims != state.layout.dims or frame_grid.feature_dim != state.grid.feature_dim:
         raise ConfigError("frame grid layout/feature dim does not match scene grid")
-    v_hat = frame_grid.visibility.astype(np.float64)[..., None]
-    features = state.grid.features * (1.0 - v_hat) + frame_grid.features * v_hat
+    features = np.where(frame_grid.visibility[..., None], frame_grid.features, state.grid.features)
     visibility = state.grid.visibility | frame_grid.visibility
     new_grid = VoxelGrid(state.layout, features, visibility)
     return SceneState(grid=new_grid, t=state.t + 1)

@@ -15,17 +15,30 @@ the largest-cluster tie breaks toward the smallest member index, and cluster
 means use correctly-rounded per-column summation (math.fsum) over members in
 ascending point-index order, which makes the feature bits independent of
 input point order.
+
+Clustering works on a voxel's distinct rows, not its points. Bit-identical
+semantic rows form one class a with count c_a; a voxel whose points all share
+one row is a single component. Otherwise the graph is built over the u
+classes: the radius of class a is the k'-th smallest of (c_a - 1) zeros plus
+c_b copies of d(a, b) for every other class b, which is exactly the k'-th
+nearest distance of any of a's points, and classes a and b are joined iff
+d(a, b) <= min(radius_a, radius_b). Every point of a class lands in the class's
+component. Squared distances are (a - b).(a - b) as in the brute-force oracle,
+so equal rows are exactly 0 apart and tie decisions agree bit for bit. A voxel
+with a few objects' rows over hundreds of points then costs O(u^2), not O(M^2).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, EmptyInputError, OutOfBoundsError
+
+# Element budget of one block of row differences in _row_distances (8 MB).
+_DIFF_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -152,14 +165,60 @@ def semantic_block(vectors: np.ndarray) -> np.ndarray:
     return vectors[:, :-3]
 
 
+def _row_distances(rows: np.ndarray) -> np.ndarray:
+    """Squared distances as (a-b).(a-b), the oracle's expression: equal rows are
+    exactly 0 apart, and each entry has the bits of a 1-D `diff @ diff`.
+    Computed in row blocks so the difference tensor stays small."""
+    u, d = rows.shape
+    d2 = np.empty((u, u))
+    step = max(1, _DIFF_BLOCK // (u * d))
+    for s in range(0, u, step):
+        diff = rows[s:s + step, None, :] - rows[None, :, :]
+        d2[s:s + step] = np.vecdot(diff, diff)
+    return d2
+
+
+def _row_radii(d2: np.ndarray, counts: np.ndarray, k: int) -> np.ndarray:
+    """Each distinct row's k-th smallest distance to the voxel's other points.
+
+    For row a that is the k-th smallest of (counts[a] - 1) zeros and
+    counts[b] copies of d2[a, b] for every other row b. No group needs more
+    than k + 1 copies for that (one of row a's own is itself, set to inf), so
+    with all rows distinct this is a plain partition of d2 with an inf
+    diagonal.
+    """
+    copies = np.minimum(counts, k + 1)
+    expanded = d2[:, np.repeat(np.arange(len(counts)), copies)]
+    expanded[np.arange(len(counts)), np.cumsum(copies) - copies] = np.inf
+    return np.partition(expanded, k - 1, axis=1)[:, k - 1]
+
+
+def _component_labels(adjacency: np.ndarray) -> np.ndarray:
+    """Connected-component label of each node of a symmetric boolean graph.
+
+    Min-label propagation with pointer jumping: a label is always a node of
+    the same component, no larger than the node, so the labels only fall; at
+    the fixed point both ends of every edge carry the same label.
+    """
+    n = adjacency.shape[0]
+    labels = np.arange(n)
+    while True:
+        step = np.minimum(labels, np.where(adjacency, labels, n).min(axis=1))
+        step = step[step]
+        if np.array_equal(step, labels):
+            return labels
+        labels = step
+
+
 def cluster_voxel(point_vectors: np.ndarray, cfg: VoxelClusterConfig) -> list[list[int]]:
     """Cluster one voxel's points: connected components of the mutual-kNN graph.
 
     Distances are Euclidean over the semantic block only. With M points the
-    effective neighbor count is min(k, M-1), and the neighbor set includes
-    every point tied at the k-th smallest distance, so coincident points never
-    fragment. Components come back sorted by (size desc, smallest member asc),
-    members ascending.
+    effective neighbor count is k' = min(k, M-1), and the neighbor set includes
+    every point tied at the k'-th smallest distance, so coincident points never
+    fragment. The graph is built over the voxel's distinct rows (see the module
+    docstring). Components come back sorted by (size desc, smallest member
+    asc), members ascending.
     """
     vectors = np.asarray(point_vectors, dtype=np.float64)
     m = vectors.shape[0]
@@ -167,30 +226,24 @@ def cluster_voxel(point_vectors: np.ndarray, cfg: VoxelClusterConfig) -> list[li
         raise EmptyInputError("cluster_voxel needs at least one point")
     if m == 1:
         return [[0]]
-    feats = semantic_block(vectors)
-    k = min(cfg.k, m - 1)
-    # Squared distances preserve the ranking; full matrix is fine at voxel scale.
-    sq = np.sum(feats * feats, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (feats @ feats.T)
-    np.fill_diagonal(d2, np.inf)
-    kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
-    neighbors = d2 <= kth[:, None]  # diagonal is inf, never a neighbor
-    mutual = neighbors & neighbors.T
-    seen = np.zeros(m, dtype=bool)
-    components: list[list[int]] = []
-    for start in range(m):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            node = stack.pop()
-            comp.append(node)
-            for nb in np.nonzero(mutual[node] & ~seen)[0]:
-                seen[nb] = True
-                stack.append(int(nb))
-        components.append(sorted(comp))
+    feats = np.ascontiguousarray(semantic_block(vectors))
+    # Sorting the rows by their raw bytes makes bit-identical rows adjacent.
+    keys = feats.view(np.dtype((np.void, feats[0].nbytes))).ravel()
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    bounds = np.flatnonzero(ranked[1:] != ranked[:-1]) + 1
+    if bounds.size == 0:
+        return [list(range(m))]
+    bounds = np.concatenate(([0], bounds, [m]))
+    counts = np.diff(bounds)
+    d2 = _row_distances(feats[order[bounds[:-1]]])
+    radius = _row_radii(d2, counts, min(cfg.k, m - 1))
+    mutual = (d2 <= radius[:, None]) & (d2 <= radius[None, :])
+    labels = np.empty(m, dtype=np.int64)
+    labels[order] = np.repeat(_component_labels(mutual), counts)
+    members = np.argsort(labels, kind="stable")  # stable: members stay ascending
+    splits = np.flatnonzero(np.diff(labels[members])) + 1
+    components = [c.tolist() for c in np.split(members, splits)]
     components.sort(key=lambda c: (-len(c), c[0]))
     return components
 
@@ -199,7 +252,7 @@ def exact_mean(rows: np.ndarray) -> np.ndarray:
     """Correctly-rounded column means (fsum): bits independent of row order."""
     rows = np.asarray(rows, dtype=np.float64)
     n = rows.shape[0]
-    return np.array([math.fsum(rows[:, j]) for j in range(rows.shape[1])]) / n
+    return np.array([math.fsum(col) for col in rows.T.tolist()]) / n
 
 
 def _voxel_feature(vectors: np.ndarray, members: np.ndarray, cfg: VoxelClusterConfig) -> np.ndarray:
@@ -214,7 +267,6 @@ def voxelize(
     layout: GridLayout,
     cfg: VoxelClusterConfig,
     out_of_bounds: str = "error",
-    n_threads: int = 1,
 ) -> VoxelGrid:
     """Build the feature grid: per occupied voxel, mean of the largest cluster.
 
@@ -250,24 +302,14 @@ def voxelize(
     flat = (idx[:, 0] * dims[1] + idx[:, 1]) * dims[2] + idx[:, 2]
     order = np.argsort(flat, kind="stable")  # stable: members stay index-ascending
     flat_sorted = flat[order]
-    ids_sorted = kept_ids[order]
     boundaries = np.nonzero(np.diff(flat_sorted))[0] + 1
-    groups = np.split(np.arange(ids_sorted.size), boundaries)
+    groups = np.split(kept_ids[order], boundaries)
     group_flats = flat_sorted[np.concatenate([[0], boundaries])]
 
-    def fill(gi: int) -> tuple[int, np.ndarray]:
-        members = ids_sorted[groups[gi]]
-        return int(group_flats[gi]), _voxel_feature(vectors, members, cfg)
-
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(fill, range(len(groups))))
-    else:
-        results = [fill(gi) for gi in range(len(groups))]
     flat_features = features.reshape(-1, feat_dim)
     flat_vis = visibility.reshape(-1)
-    for f, vec in results:
-        flat_features[f] = vec
+    for members, f in zip(groups, group_flats):
+        flat_features[f] = _voxel_feature(vectors, members, cfg)
         flat_vis[f] = True
     return VoxelGrid(layout, features, visibility)
 

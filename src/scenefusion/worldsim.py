@@ -254,33 +254,40 @@ def render(world: WorldState, intr: CameraIntrinsics, pose: Pose) -> RenderResul
         [(us - intr.cx) / intr.fx, (vs - intr.cy) / intr.fy, np.ones((h, w))], axis=-1
     ).reshape(-1, 3)
     dirs = dirs_cam @ pose.rotation.T  # camera z has length 1, so t == depth
+    # One contiguous column per axis; each slab test runs axis by axis.
+    d_safe = [np.where(d == 0.0, 1e-300, d) for d in np.ascontiguousarray(dirs.T)]
     origin = pose.translation
-    n = dirs.shape[0]
-    best_t = np.full(n, np.inf)
-    best_obj = np.full(n, -1, dtype=np.int64)
-    d_safe = np.where(dirs == 0.0, 1e-300, dirs)
-    for obj in world.objects:
+    best_t = np.full(h * w, np.inf)
+    best = np.full(h * w, -1, dtype=np.int64)  # index into world.objects; -1 is a miss
+    for i, obj in enumerate(world.objects):
         if obj.held:
             continue
-        t1 = (obj.box_min - origin) / d_safe
-        t2 = (obj.box_max - origin) / d_safe
-        tmin = np.minimum(t1, t2).max(axis=1)
-        tmax = np.maximum(t1, t2).min(axis=1)
+        lo = obj.box_min - origin
+        hi = obj.box_max - origin
+        tmin, tmax = -np.inf, np.inf
+        for a in range(3):
+            t1 = lo[a] / d_safe[a]
+            t2 = hi[a] / d_safe[a]
+            tmin = np.maximum(tmin, np.minimum(t1, t2))
+            tmax = np.minimum(tmax, np.maximum(t1, t2))
         t_hit = np.where(tmin > 1e-9, tmin, tmax)
-        hit = (tmax >= tmin) & (t_hit > 1e-9)
-        closer = hit & (t_hit < best_t)
+        closer = (tmax >= tmin) & (t_hit > 1e-9) & (t_hit < best_t)
         best_t[closer] = t_hit[closer]
-        best_obj[closer] = obj.oid
-    valid = (best_obj >= 0).reshape(h, w)
+        best[closer] = i
+    valid = (best >= 0).reshape(h, w)
     depth_vals = np.where(np.isfinite(best_t), best_t, 0.0).reshape(h, w)
-    feats = np.zeros((h, w, world.feature_dim))
-    colors = np.zeros((h, w, 3))
-    obj_ids = best_obj.reshape(h, w)
-    for obj in world.objects:
-        mask = obj_ids == obj.oid
-        if mask.any():
-            feats[mask] = world.feature_of(obj)
-            colors[mask] = COLOR_TABLE[obj.color]
+    # Per-object lookup tables; the extra last row (zeros, id -1) serves misses.
+    n_obj = len(world.objects)
+    feat_table = np.zeros((n_obj + 1, world.feature_dim))
+    color_table = np.zeros((n_obj + 1, 3))
+    id_table = np.full(n_obj + 1, -1, dtype=np.int64)
+    for i, obj in enumerate(world.objects):
+        feat_table[i] = world.feature_of(obj)
+        color_table[i] = COLOR_TABLE[obj.color]
+        id_table[i] = obj.oid
+    feats = feat_table[best].reshape(h, w, -1)
+    colors = color_table[best].reshape(h, w, 3)
+    obj_ids = id_table[best].reshape(h, w)
     return RenderResult(
         depth=DepthImage(depth_vals, valid),
         features=FeatureImage(feats),

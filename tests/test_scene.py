@@ -9,13 +9,14 @@ from scenefusion.errors import ConfigError, EmptyInputError
 from scenefusion.frame import Frame3D
 from scenefusion.geometry import Pose
 from scenefusion.scene import (
+    SceneState,
     aggregate_frames,
     frame_to_grid,
     init_scene,
     merge_frame_grid,
     update_scene,
 )
-from scenefusion.voxelizer import VoxelClusterConfig, voxelize
+from scenefusion.voxelizer import GridLayout, VoxelClusterConfig, VoxelGrid, voxelize
 
 CFG = VoxelClusterConfig(k=3)
 
@@ -193,6 +194,17 @@ class TestUpdateScene:
             s2 = update_scene(s, f, CFG)
             assert np.all(s2.grid.visibility >= s.grid.visibility)
             s = s2
+
+    def test_signed_zeros_keep_their_bits(self):
+        layout = GridLayout(np.zeros(3), 0.5, (2, 1, 1))
+        stored = np.array([[-0.0, 1.0], [2.0, 3.0]]).reshape(2, 1, 1, 2)
+        state = SceneState(VoxelGrid(layout, stored, np.ones((2, 1, 1), dtype=bool)))
+        observed = np.array([False, True]).reshape(2, 1, 1)
+        frame = np.array([[0.0, 0.0], [-0.0, 4.0]]).reshape(2, 1, 1, 2)
+        merged = merge_frame_grid(state, VoxelGrid(layout, frame, observed)).grid.features
+        # voxel 0 is unobserved and keeps its stored -0.0; voxel 1 takes the frame's -0.0
+        expected = np.array([[-0.0, 1.0], [-0.0, 4.0]]).reshape(2, 1, 1, 2)
+        assert merged.tobytes() == expected.tobytes()
 
     def test_layout_mismatch_raises(self):
         _, state, new = self._setup(seed=9)

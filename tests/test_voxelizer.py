@@ -121,6 +121,50 @@ class TestClusterVoxel:
             comps = cluster_voxel(vectors, VoxelClusterConfig(k=k))
             expected = brute_clusters(vectors[:, :-3], k)
             assert comps == expected, f"trial {trial}: m={m} k={k}"
+        # larger voxels; m=300 takes more than one block of row differences
+        for m, k in ((60, 4), (300, 3)):
+            vectors = rng.normal(size=(m, 19))
+            comps = cluster_voxel(vectors, VoxelClusterConfig(k=k))
+            assert comps == brute_clusters(vectors[:, :-3], k), f"m={m} k={k}"
+
+    def test_copies_of_one_row_form_one_component(self):
+        # Copies of this row are not all 0 apart under |a|^2 + |b|^2 - 2a.b
+        # (checked below), so distances formed that way split them.
+        rng = np.random.default_rng(1)
+        row = rng.normal(size=16)
+        layout = grid_layout(None, 0.5, explicit_bounds=([0, 0, 0], [0.5, 0.5, 0.5]))
+        for m in (15, 26):
+            positions = rng.uniform(0.0, 0.5, size=(m, 3))
+            vectors = np.concatenate([np.tile(row, (m, 1)), positions / 0.5], axis=1)
+            feats = vectors[:, :-3]
+            sq = np.sum(feats * feats, axis=1)
+            assert np.any(sq[:, None] + sq[None, :] - 2.0 * (feats @ feats.T) != 0)
+            assert cluster_voxel(vectors, VoxelClusterConfig(k=5)) == [list(range(m))]
+            grid = voxelize(positions, vectors, layout, VoxelClusterConfig(k=5))
+            feats_o, vis_o = brute_voxelize(positions, vectors, layout.origin, layout.dims,
+                                            0.5, 5)
+            np.testing.assert_array_equal(grid.visibility, vis_o)
+            np.testing.assert_array_equal(grid.features, feats_o)
+
+    def test_repeated_rows_match_exhaustive_oracle(self):
+        # 1-5 distinct rows with random multiplicities. Small-integer rows put
+        # exact distance ties at the k'-th radius; zeros get a random sign so
+        # numerically equal rows can differ in their bytes.
+        rng = np.random.default_rng(10)
+        for trial in range(120):
+            u = int(rng.integers(1, 6))
+            if trial % 2:
+                rows = rng.integers(-2, 3, size=(u, 4)).astype(float)
+            else:
+                rows = rng.normal(size=(u, 4))
+            counts = rng.integers(1, 13, size=u)
+            sem = rows[rng.permutation(np.repeat(np.arange(u), counts))]
+            sem[sem == 0.0] *= rng.choice([1.0, -1.0], size=int(np.sum(sem == 0.0)))
+            m = len(sem)
+            vectors = np.concatenate([sem, rng.uniform(size=(m, 3))], axis=1)
+            k = int(rng.integers(1, 16))
+            comps = cluster_voxel(vectors, VoxelClusterConfig(k=k))
+            assert comps == brute_clusters(sem, k), f"trial {trial}: m={m} k={k} counts={counts}"
 
 
 class TestVoxelize:
@@ -158,15 +202,6 @@ class TestVoxelize:
         grid_p = voxelize(positions[perm], vectors[perm], layout, VoxelClusterConfig(k=3))
         np.testing.assert_array_equal(grid.visibility, grid_p.visibility)
         np.testing.assert_array_equal(grid.features, grid_p.features)
-
-    def test_threaded_equals_sequential(self):
-        rng = np.random.default_rng(6)
-        positions, vectors = _vectors(rng, 400)
-        layout = grid_layout(positions, 0.3)
-        a = voxelize(positions, vectors, layout, VoxelClusterConfig(k=3), n_threads=1)
-        b = voxelize(positions, vectors, layout, VoxelClusterConfig(k=3), n_threads=4)
-        np.testing.assert_array_equal(a.features, b.features)
-        np.testing.assert_array_equal(a.visibility, b.visibility)
 
     def test_mean_lies_in_member_convex_hull_componentwise(self):
         rng = np.random.default_rng(7)
