@@ -9,7 +9,7 @@ the visible voxels as visual tokens.
 
 import numpy as np
 
-from scenefusion import WorldConfig, gen_world, capture_views, render, emit_tokens
+from scenefusion import WorldConfig, gen_world, capture_views, render, token_matrix
 from scenefusion.datagen import frame_from_view
 from scenefusion.frame import feature_vectors
 from scenefusion.voxelizer import VoxelClusterConfig, grid_layout, voxelize
@@ -38,8 +38,8 @@ grid = voxelize(frame.positions, vectors, layout, VoxelClusterConfig(k=5))
 print(f"grid dims {layout.dims}: {grid.n_visible} visible voxels "
       f"of {layout.n_voxels}")
 
-tokens = emit_tokens(grid)
+coords, tokens = token_matrix(grid)
 print(f"\n{len(tokens)} visual tokens (lexicographic voxel order); first three:")
-for coord, vec in tokens[:3]:
-    print(f"  voxel {coord}: feature head {np.round(vec[:4], 3)} "
+for coord, vec in zip(coords[:3], tokens[:3]):
+    print(f"  voxel {tuple(coord.tolist())}: feature head {np.round(vec[:4], 3)} "
           f"... coords {np.round(vec[-3:], 3)}")

@@ -15,7 +15,6 @@ from .voxelizer import (
     VoxelGrid,
     assign_voxels,
     cluster_voxel,
-    emit_tokens,
     grid_layout,
     token_matrix,
     voxelize,
@@ -93,7 +92,6 @@ __all__ = [
     "capture_views",
     "cluster_voxel",
     "egocentric_step",
-    "emit_tokens",
     "feature_vectors",
     "frame_to_grid",
     "gen_instructions",

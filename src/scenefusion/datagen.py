@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .align.sequence import SEQ_KIND_FRAME, SEQ_KIND_SCENE, TokenSequence, assemble_sequence
 from .align.vocab import Vocabulary, build_vocab
-from .errors import EmptyInputError
+from .errors import ConfigError, EmptyInputError
 from .frame import CAMERA_FRAME, WORLD_FRAME, Frame3D, build_frame, feature_vectors
 from .geometry import CameraIntrinsics, Pose
 from .scene import SceneState, init_scene
@@ -132,6 +132,16 @@ class DatagenConfig:
     variant_qa_existence: int = 8
     variant_qa_counting: int = 6
     seed: int = 0
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "DatagenConfig":
+        """Inverse of `asdict` after a JSON round trip: lists come back as
+        tuples, missing keys keep their defaults (files written before the
+        field existed) and unknown keys raise ConfigError."""
+        unknown = set(d) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigError(f"unknown datagen config keys: {sorted(unknown)}")
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
 
 
 def frame_qa_records(world: WorldState, visible_ids, rng: np.random.Generator,
@@ -353,32 +363,8 @@ def build_dataset_dir(out_dir, n_worlds: int, world_cfg: WorldConfig,
     meta = {
         "format": 1,
         "n_worlds": n_worlds,
-        "world_cfg": {
-            "room_size": list(world_cfg.room_size),
-            "n_objects": world_cfg.n_objects,
-            "categories": list(world_cfg.categories),
-            "colors": list(world_cfg.colors),
-            "feature_dim": world_cfg.feature_dim,
-            "embed_seed": world_cfg.embed_seed,
-            "min_size": world_cfg.min_size,
-            "max_size": world_cfg.max_size,
-            "min_gap": world_cfg.min_gap,
-            "snap": world_cfg.snap,
-        },
-        "datagen_cfg": {
-            "resolution": dg_cfg.resolution,
-            "knn_k": dg_cfg.knn_k,
-            "n_views": dg_cfg.n_views,
-            "n_frame_views": dg_cfg.n_frame_views,
-            "per_kind": dg_cfg.per_kind,
-            "kinds": list(dg_cfg.kinds),
-            "frame_qa_existence": dg_cfg.frame_qa_existence,
-            "frame_qa_counting": dg_cfg.frame_qa_counting,
-            "scene_subset_sizes": list(dg_cfg.scene_subset_sizes),
-            "subset_qa_existence": dg_cfg.subset_qa_existence,
-            "subset_qa_counting": dg_cfg.subset_qa_counting,
-            "seed": dg_cfg.seed,
-        },
+        "world_cfg": asdict(world_cfg),
+        "datagen_cfg": asdict(dg_cfg),
     }
     with open(os.path.join(out_dir, "meta.json"), "w", encoding="utf-8") as f:
         json.dump(meta, f, indent=1, sort_keys=True)
@@ -395,18 +381,7 @@ def load_dataset_dir(data_dir) -> DatasetBundle:
     """Rebuild the aligned dataset (tokens included) from a dataset directory."""
     with open(os.path.join(data_dir, "meta.json"), encoding="utf-8") as f:
         meta = json.load(f)
-    dg = meta["datagen_cfg"]
-    dg_cfg = DatagenConfig(
-        resolution=dg["resolution"], knn_k=dg["knn_k"], n_views=dg["n_views"],
-        n_frame_views=dg["n_frame_views"], per_kind=dg["per_kind"],
-        kinds=tuple(dg["kinds"]),
-        frame_qa_existence=dg.get("frame_qa_existence", 0),
-        frame_qa_counting=dg.get("frame_qa_counting", 0),
-        scene_subset_sizes=tuple(dg.get("scene_subset_sizes", ())),
-        subset_qa_existence=dg.get("subset_qa_existence", 0),
-        subset_qa_counting=dg.get("subset_qa_counting", 0),
-        seed=dg["seed"],
-    )
+    dg_cfg = DatagenConfig.from_dict(meta["datagen_cfg"])
     worlds: dict[str, WorldState] = {}
     wdir = os.path.join(data_dir, "worlds")
     for name in sorted(os.listdir(wdir)):

@@ -12,13 +12,16 @@ Container layout (all little-endian):
 
 Floats are 64-bit little-endian, row-major; a write/read round trip is
 bit-identical. Truncated or corrupt files raise a clean format error and
-never return a partial object.
+never return a partial object: that covers a shape whose element count does
+not match the byte length, kind or name bytes that are not UTF-8, and bytes
+after the last array.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 from dataclasses import asdict
 
@@ -82,6 +85,13 @@ def _read_exact(f, n: int, what: str) -> bytes:
     return data
 
 
+def _read_text(f, n: int, what: str) -> str:
+    try:
+        return _read_exact(f, n, what).decode()
+    except UnicodeDecodeError as exc:
+        raise ArtifactFormatError(f"{what} is not valid UTF-8: {exc}") from exc
+
+
 def load_artifact(path) -> tuple[str, dict, dict[str, np.ndarray]]:
     with open(path, "rb") as f:
         magic = _read_exact(f, 4, "magic")
@@ -91,17 +101,17 @@ def load_artifact(path) -> tuple[str, dict, dict[str, np.ndarray]]:
         if version != VERSION:
             raise ArtifactFormatError(f"unsupported artifact version {version} (want {VERSION})")
         (kl,) = struct.unpack("<I", _read_exact(f, 4, "kind length"))
-        kind = _read_exact(f, kl, "kind").decode()
+        kind = _read_text(f, kl, "kind")
         (ml,) = struct.unpack("<I", _read_exact(f, 4, "meta length"))
         try:
-            meta = json.loads(_read_exact(f, ml, "metadata").decode())
+            meta = json.loads(_read_text(f, ml, "metadata"))
         except json.JSONDecodeError as exc:
             raise ArtifactFormatError(f"corrupt metadata block: {exc}") from exc
         (count,) = struct.unpack("<I", _read_exact(f, 4, "array count"))
         arrays: dict[str, np.ndarray] = {}
         for _ in range(count):
             (nl,) = struct.unpack("<H", _read_exact(f, 2, "array name length"))
-            name = _read_exact(f, nl, "array name").decode()
+            name = _read_text(f, nl, "array name")
             (code,) = struct.unpack("<B", _read_exact(f, 1, "dtype code"))
             if code not in _DTYPE_CODES:
                 raise ArtifactFormatError(f"unknown dtype code {code}")
@@ -110,9 +120,16 @@ def load_artifact(path) -> tuple[str, dict, dict[str, np.ndarray]]:
                 struct.unpack("<Q", _read_exact(f, 8, "shape"))[0] for _ in range(ndim)
             )
             (nbytes,) = struct.unpack("<Q", _read_exact(f, 8, "byte length"))
+            dtype = np.dtype(_DTYPE_CODES[code])
+            if math.prod(shape) * dtype.itemsize != nbytes:
+                raise ArtifactFormatError(
+                    f"array {name!r}: shape {shape} does not fit its {nbytes} data bytes"
+                )
             raw = _read_exact(f, nbytes, f"array {name!r} data")
-            arr = np.frombuffer(raw, dtype=_DTYPE_CODES[code]).reshape(shape)
+            arr = np.frombuffer(raw, dtype=dtype).reshape(shape)
             arrays[name] = arr.astype(bool) if code == 2 else arr.copy()
+        if f.read(1):
+            raise ArtifactFormatError("trailing bytes after the last array")
         return kind, meta, arrays
 
 

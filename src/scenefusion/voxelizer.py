@@ -14,7 +14,10 @@ identical points always form one component, with no arbitrary tie choice),
 the largest-cluster tie breaks toward the smallest member index, and cluster
 means use correctly-rounded per-column summation (math.fsum) over members in
 ascending point-index order, which makes the feature bits independent of
-input point order.
+input point order. A nonzero column whose members all hold the same value x
+(the semantic block of a box world, usually) skips fsum: its correctly
+rounded sum is fl(n * x). Zero columns still go through fsum, because the
+sign of its zero sum need not be that of n * x.
 
 Clustering works on a voxel's distinct rows, not its points. Bit-identical
 semantic rows form one class a with count c_a; a voxel whose points all share
@@ -39,6 +42,8 @@ from .errors import ConfigError, EmptyInputError, OutOfBoundsError
 
 # Element budget of one block of row differences in _row_distances (8 MB).
 _DIFF_BLOCK = 1 << 20
+# exact_mean sums every column with fsum below this many rows.
+_FEW_ROWS = 10
 
 
 @dataclass(frozen=True)
@@ -249,10 +254,25 @@ def cluster_voxel(point_vectors: np.ndarray, cfg: VoxelClusterConfig) -> list[li
 
 
 def exact_mean(rows: np.ndarray) -> np.ndarray:
-    """Correctly-rounded column means (fsum): bits independent of row order."""
+    """Correctly-rounded column means (fsum): bits independent of row order.
+
+    A nonzero column whose rows all hold one value x sums to fl(n * x), which
+    is the correctly rounded sum fsum returns, so only the other columns go
+    through fsum. Nonzero floats are equal exactly when their bits are, so
+    `==` finds those columns. Zero columns stay with fsum: on Python 3.11 it
+    sums copies of -0.0 to +0.0, where n * -0.0 is -0.0. Below _FEW_ROWS rows
+    (most voxels of a fine grid hold one point) every column goes through
+    fsum, because there finding the constant columns costs more than it saves.
+    """
     rows = np.asarray(rows, dtype=np.float64)
     n = rows.shape[0]
-    return np.array([math.fsum(col) for col in rows.T.tolist()]) / n
+    if n < _FEW_ROWS:
+        return np.array([math.fsum(col) for col in rows.T.tolist()]) / n
+    first = rows[0]
+    varied = (first == 0.0) | (rows != first).any(axis=0)
+    sums = first * n
+    sums[varied] = [math.fsum(col) for col in rows.T[varied].tolist()]
+    return sums / n
 
 
 def _voxel_feature(vectors: np.ndarray, members: np.ndarray, cfg: VoxelClusterConfig) -> np.ndarray:
@@ -324,16 +344,8 @@ def count_outside_layout(positions: np.ndarray, layout: GridLayout) -> int:
     return int(positions.shape[0] - keep.sum())
 
 
-def emit_tokens(grid: VoxelGrid) -> list[tuple[tuple[int, int, int], np.ndarray]]:
-    """One (voxel index triple, feature vector) per visible voxel, lexicographic."""
-    coords = np.argwhere(grid.visibility)  # argwhere is already lexicographic
-    return [
-        (tuple(int(c) for c in coord), grid.features[tuple(coord)].copy())
-        for coord in coords
-    ]
-
-
 def token_matrix(grid: VoxelGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized emit_tokens: (K x 3 voxel indices, K x (D+3) features)."""
-    coords = np.argwhere(grid.visibility)
+    """One visual token per visible voxel, in lexicographic voxel order:
+    (K x 3 voxel indices, K x (D+3) features)."""
+    coords = np.argwhere(grid.visibility)  # argwhere is already lexicographic
     return coords, grid.features[grid.visibility]

@@ -8,10 +8,19 @@ object's color appended. Category embeddings are seeded random unit vectors
 with a minimum-separation rejection rule and are derived from the category
 pool (not the world seed), so the same category has the same embedding in
 every world that shares a pool.
+
+A box wholly in front of the camera is slab-tested only on its screen window:
+the bounding rectangle of its projected corners, widened by 2 pixels on the
+low side and 3 on the high side. A box wholly behind the camera is skipped,
+and one that straddles the camera plane (some corner in front, some within
+1e-6 of the plane or behind it) is tested on every pixel. Each tested pixel
+computes the same elementwise expressions either way, so the rendered bits
+equal those of a whole-image test.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import warnings
 from dataclasses import dataclass, replace
@@ -27,6 +36,7 @@ GOTO_STANDOFF = 0.45  # how far from the target an object-goto stops
 PLACE_RADIUS = 0.5  # ring radius around the agent for placing
 NEAR_DISTANCE = 1.2  # "near" goal threshold between object centers
 EYE_HEIGHT = 1.5  # camera height above the agent's ground position
+_NEAR_PLANE = 1e-6  # boxes with a corner this close to the camera plane render unculled
 
 COLOR_TABLE = {
     "red": (1.0, 0.0, 0.0),
@@ -241,58 +251,119 @@ class RenderResult:
     object_ids: np.ndarray  # H x W, -1 at misses
 
 
+# Which of box_min / box_max each of a box's 8 corners takes, per axis.
+_CORNER_SIDES = np.array([[(c >> a) & 1 for a in range(3)] for c in range(8)], dtype=bool)
+
+
+@functools.lru_cache(maxsize=8)
+def _camera_rays(intr: CameraIntrinsics) -> np.ndarray:
+    """Camera-frame ray direction of every pixel, row-major (H*W x 3), z = 1.
+
+    Every view with the same intrinsics shares these; the array is read-only.
+    """
+    h, w = intr.height, intr.width
+    us, vs = np.meshgrid(np.arange(w), np.arange(h))
+    rays = np.stack(
+        [(us - intr.cx) / intr.fx, (vs - intr.cy) / intr.fy, np.ones((h, w))], axis=-1
+    ).reshape(-1, 3)
+    rays.flags.writeable = False
+    return rays
+
+
+def _screen_windows(lo: np.ndarray, hi: np.ndarray, intr: CameraIntrinsics,
+                    rotation: np.ndarray) -> list:
+    """Per box, the pixel rows and columns it can cover: None when it is
+    behind the camera or projects wholly off the image, the whole image when
+    it straddles the camera plane. lo and hi are n x 3 box corners minus the
+    camera position."""
+    corners = np.where(_CORNER_SIDES, hi[:, None, :], lo[:, None, :])
+    cam = corners @ rotation  # n x 8 x 3, camera frame
+    z = cam[..., 2]
+    # (u, v) of every corner; used only for boxes wholly beyond the near plane
+    uv = cam[..., :2] / np.maximum(z, _NEAR_PLANE)[..., None] * (intr.fx, intr.fy)
+    uv += (intr.cx, intr.cy)
+    first_px = np.floor(uv.min(axis=1)) - 2
+    stop_px = np.ceil(uv.max(axis=1)) + 3
+    h, w = intr.height, intr.width
+    windows = []
+    for z_lo, z_hi, (c0, r0), (c1, r1) in zip(z.min(axis=1).tolist(), z.max(axis=1).tolist(),
+                                              first_px.tolist(), stop_px.tolist()):
+        if z_hi <= 0.0:
+            windows.append(None)
+        elif z_lo <= _NEAR_PLANE:
+            windows.append((slice(0, h), slice(0, w)))
+        else:
+            r0, r1 = max(int(r0), 0), min(int(r1), h)
+            c0, c1 = max(int(c0), 0), min(int(c1), w)
+            windows.append((slice(r0, r1), slice(c0, c1)) if r0 < r1 and c0 < c1 else None)
+    return windows
+
+
 def render(world: WorldState, intr: CameraIntrinsics, pose: Pose) -> RenderResult:
     """Raycast every pixel against the object boxes (nearest slab-test hit).
 
     Depth is the distance along the optical axis; the per-pixel feature is the
     hit object's category embedding with its RGB color appended; misses are
-    invalid pixels. Held objects do not render.
+    invalid pixels (depth 0, zero feature and color, id -1). Held objects do
+    not render.
+
+    Each box is slab-tested only on its screen window: the bounding rectangle
+    of its 8 projected corners, widened to [floor(min) - 2, ceil(max) + 3) and
+    clipped to the image. A box with every corner at camera depth <= 0 is
+    skipped (no ray meets it at t > 1e-9), and a box with some corners in
+    front and some within 1e-6 of the camera plane or behind it is tested on
+    the whole image. Every tested pixel runs the same elementwise expressions
+    as a whole-image test, so the output bits do not depend on the window.
     """
     h, w = intr.height, intr.width
-    us, vs = np.meshgrid(np.arange(w), np.arange(h))
-    dirs_cam = np.stack(
-        [(us - intr.cx) / intr.fx, (vs - intr.cy) / intr.fy, np.ones((h, w))], axis=-1
-    ).reshape(-1, 3)
-    dirs = dirs_cam @ pose.rotation.T  # camera z has length 1, so t == depth
-    # One contiguous column per axis; each slab test runs axis by axis.
-    d_safe = [np.where(d == 0.0, 1e-300, d) for d in np.ascontiguousarray(dirs.T)]
-    origin = pose.translation
-    best_t = np.full(h * w, np.inf)
-    best = np.full(h * w, -1, dtype=np.int64)  # index into world.objects; -1 is a miss
-    for i, obj in enumerate(world.objects):
-        if obj.held:
+    dirs = _camera_rays(intr) @ pose.rotation.T  # camera z has length 1, so t == depth
+    if not dirs.all():  # an exact zero component would make the slab test 0/0
+        dirs = np.where(dirs == 0.0, 1e-300, dirs)
+    d_safe = dirs.reshape(h, w, 3)
+    best_t = np.full((h, w), np.inf)
+    best = np.full((h, w), -1, dtype=np.int64)  # index into world.objects; -1 is a miss
+    shown = [i for i, obj in enumerate(world.objects) if not obj.held]
+    los = np.array([world.objects[i].box_min for i in shown]).reshape(-1, 3) - pose.translation
+    his = np.array([world.objects[i].box_max for i in shown]).reshape(-1, 3) - pose.translation
+    windows = _screen_windows(los, his, intr, pose.rotation)
+    for i, lo, hi, window in zip(shown, los, his, windows):
+        if window is None:
             continue
-        lo = obj.box_min - origin
-        hi = obj.box_max - origin
         tmin, tmax = -np.inf, np.inf
         for a in range(3):
-            t1 = lo[a] / d_safe[a]
-            t2 = hi[a] / d_safe[a]
+            d = d_safe[window + (a,)]
+            t1 = lo[a] / d
+            t2 = hi[a] / d
             tmin = np.maximum(tmin, np.minimum(t1, t2))
             tmax = np.minimum(tmax, np.maximum(t1, t2))
         t_hit = np.where(tmin > 1e-9, tmin, tmax)
-        closer = (tmax >= tmin) & (t_hit > 1e-9) & (t_hit < best_t)
-        best_t[closer] = t_hit[closer]
-        best[closer] = i
-    valid = (best >= 0).reshape(h, w)
-    depth_vals = np.where(np.isfinite(best_t), best_t, 0.0).reshape(h, w)
-    # Per-object lookup tables; the extra last row (zeros, id -1) serves misses.
+        best_t_win = best_t[window]
+        closer = (tmax >= tmin) & (t_hit > 1e-9) & (t_hit < best_t_win)
+        best_t_win[closer] = t_hit[closer]
+        best[window][closer] = i
+    valid = best >= 0
+    hit = np.flatnonzero(valid)
+    hit_obj = best.reshape(-1)[hit]
     n_obj = len(world.objects)
-    feat_table = np.zeros((n_obj + 1, world.feature_dim))
-    color_table = np.zeros((n_obj + 1, 3))
-    id_table = np.full(n_obj + 1, -1, dtype=np.int64)
+    feat_table = np.zeros((n_obj, world.feature_dim))
+    color_table = np.zeros((n_obj, 3))
     for i, obj in enumerate(world.objects):
         feat_table[i] = world.feature_of(obj)
         color_table[i] = COLOR_TABLE[obj.color]
-        id_table[i] = obj.oid
-    feats = feat_table[best].reshape(h, w, -1)
-    colors = color_table[best].reshape(h, w, 3)
-    obj_ids = id_table[best].reshape(h, w)
+    id_table = np.array([obj.oid for obj in world.objects], dtype=np.int64)
+    depth_vals = np.zeros(h * w)
+    depth_vals[hit] = best_t.reshape(-1)[hit]
+    feats = np.zeros((h * w, world.feature_dim))
+    feats[hit] = feat_table[hit_obj]
+    colors = np.zeros((h * w, 3))
+    colors[hit] = color_table[hit_obj]
+    obj_ids = np.full(h * w, -1, dtype=np.int64)
+    obj_ids[hit] = id_table[hit_obj]
     return RenderResult(
-        depth=DepthImage(depth_vals, valid),
-        features=FeatureImage(feats),
-        colors=colors,
-        object_ids=obj_ids,
+        depth=DepthImage(depth_vals.reshape(h, w), valid),
+        features=FeatureImage(feats.reshape(h, w, -1)),
+        colors=colors.reshape(h, w, 3),
+        object_ids=obj_ids.reshape(h, w),
     )
 
 

@@ -6,11 +6,17 @@ union-find, voxel membership from per-point floor arithmetic. The shared
 conventions (pinned by the voxelizer's contract) are: neighbor sets include
 all ties at the k-th smallest distance, and cluster means are the correctly
 rounded per-column sums (math.fsum) over index-sorted members.
+
+`full_image_render` is the other kind of oracle: the renderer's slab test run
+on every pixel for every box, with no screen-window culling, so a culled
+renderer must match it byte for byte.
 """
 
 import math
 
 import numpy as np
+
+from scenefusion.worldsim import COLOR_TABLE
 
 
 def brute_layout(points, r):
@@ -93,3 +99,48 @@ def brute_voxelize(positions, vectors, origin, dims, r, k):
         features[idx] = np.array(cols) / len(largest)
         visibility[idx] = True
     return features, visibility
+
+
+def full_image_render(world, intr, pose):
+    """Nearest slab-test hit of every pixel ray against every box.
+
+    Returns (depth, valid, features, colors, object_ids) with the renderer's
+    conventions: misses have depth 0, zero features and colors, and id -1.
+    """
+    h, w = intr.height, intr.width
+    us, vs = np.meshgrid(np.arange(w), np.arange(h))
+    dirs_cam = np.stack(
+        [(us - intr.cx) / intr.fx, (vs - intr.cy) / intr.fy, np.ones((h, w))], axis=-1
+    ).reshape(-1, 3)
+    dirs = dirs_cam @ pose.rotation.T
+    d_safe = [np.where(d == 0.0, 1e-300, d) for d in np.ascontiguousarray(dirs.T)]
+    origin = pose.translation
+    best_t = np.full(h * w, np.inf)
+    best = np.full(h * w, -1, dtype=np.int64)
+    for i, obj in enumerate(world.objects):
+        if obj.held:
+            continue
+        lo = obj.box_min - origin
+        hi = obj.box_max - origin
+        tmin, tmax = -np.inf, np.inf
+        for a in range(3):
+            t1 = lo[a] / d_safe[a]
+            t2 = hi[a] / d_safe[a]
+            tmin = np.maximum(tmin, np.minimum(t1, t2))
+            tmax = np.minimum(tmax, np.maximum(t1, t2))
+        t_hit = np.where(tmin > 1e-9, tmin, tmax)
+        closer = (tmax >= tmin) & (t_hit > 1e-9) & (t_hit < best_t)
+        best_t[closer] = t_hit[closer]
+        best[closer] = i
+    n_obj = len(world.objects)
+    feat_table = np.zeros((n_obj + 1, world.feature_dim))
+    color_table = np.zeros((n_obj + 1, 3))
+    id_table = np.full(n_obj + 1, -1, dtype=np.int64)
+    for i, obj in enumerate(world.objects):
+        feat_table[i] = np.concatenate([world.category_embeddings[obj.category],
+                                        COLOR_TABLE[obj.color]])
+        color_table[i] = COLOR_TABLE[obj.color]
+        id_table[i] = obj.oid
+    depth = np.where(np.isfinite(best_t), best_t, 0.0).reshape(h, w)
+    return (depth, (best >= 0).reshape(h, w), feat_table[best].reshape(h, w, -1),
+            color_table[best].reshape(h, w, 3), id_table[best].reshape(h, w))

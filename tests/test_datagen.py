@@ -1,9 +1,14 @@
 """Dataset pipeline: aligned records, vocabulary coverage, and dataset
 directory reconstruction."""
 
+import json
+from dataclasses import asdict
+
 import numpy as np
+import pytest
 
 from scenefusion.align.sequence import SEQ_KIND_FRAME
+from scenefusion.errors import ConfigError
 from scenefusion.datagen import (
     DatagenConfig,
     build_dataset_dir,
@@ -108,6 +113,32 @@ class TestDatasetDir:
         for r1, r2 in zip(b1.train_records, b2.train_records):
             assert r1.instruction == r2.instruction
             np.testing.assert_array_equal(r1.visual, r2.visual)
+
+
+class TestDatagenConfigRoundTrip:
+    def test_dataset_reloads_with_the_config_it_was_built_with(self, tmp_path):
+        cfg = DatagenConfig(per_kind=2, n_views=2, n_frame_views=1, scene_subset_sizes=(1,),
+                            scene_variants=0, variant_qa_existence=2, variant_qa_counting=1,
+                            kinds=("qa_existence", "qa_counting"), resolution=0.4, seed=3)
+        build_dataset_dir(tmp_path, 1, WorldConfig(n_objects=2), cfg, n_heldout=1)
+        assert load_dataset_dir(tmp_path).datagen == cfg
+
+    def test_json_round_trip_of_every_field(self):
+        cfg = DatagenConfig(kinds=("qa_counting",), scene_subset_sizes=(2, 3), scene_variants=1,
+                            variant_qa_existence=0, frame_qa_counting=5, knn_k=4, seed=9)
+        assert DatagenConfig.from_dict(json.loads(json.dumps(asdict(cfg)))) == cfg
+
+    def test_missing_keys_keep_defaults(self):
+        d = asdict(DatagenConfig(seed=4))
+        for key in ("scene_variants", "variant_qa_existence", "variant_qa_counting"):
+            del d[key]
+        assert DatagenConfig.from_dict(d) == DatagenConfig(seed=4)
+
+    def test_unknown_key_raises(self):
+        d = asdict(DatagenConfig())
+        d["scene_variant"] = 0
+        with pytest.raises(ConfigError, match="scene_variant"):
+            DatagenConfig.from_dict(d)
 
 
 class TestSceneFromWorld:

@@ -1,6 +1,8 @@
 """Artifact container: bit-exact round trips, version/magic checks, and
 truncation fault injection."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,41 @@ class TestContainer:
             trunc.write_bytes(data[:cut])
             with pytest.raises(ArtifactFormatError):
                 load_artifact(trunc)
+
+
+class TestMutatedFiles:
+    """Each header field that can lie about the data gives a format error."""
+
+    def _saved(self, tmp_path):
+        path = tmp_path / "ok.bin"
+        save_artifact(path, "grid", {"n": 1}, {"ab": np.arange(6.0).reshape(2, 3)})
+        return path, path.read_bytes()
+
+    def _assert_rejected(self, tmp_path, data, match):
+        path = tmp_path / "mutated.bin"
+        path.write_bytes(data)
+        with pytest.raises(ArtifactFormatError, match=match):
+            load_artifact(path)
+
+    def test_shape_that_does_not_fit_the_bytes(self, tmp_path):
+        _, data = self._saved(tmp_path)
+        shape_at = data.index(struct.pack("<QQ", 2, 3))
+        for shape in ((2, 4), (3, 3), (1, 3), (0, 3)):
+            mutated = data[:shape_at] + struct.pack("<QQ", *shape) + data[shape_at + 16:]
+            self._assert_rejected(tmp_path, mutated, "shape")
+
+    def test_kind_meta_and_name_bytes_not_utf8(self, tmp_path):
+        _, data = self._saved(tmp_path)
+        for field in (b"grid", b'{"n"', b"ab"):
+            at = data.index(field)
+            mutated = data[:at] + b"\xff" + data[at + 1:]
+            self._assert_rejected(tmp_path, mutated, "UTF-8")
+
+    def test_trailing_bytes(self, tmp_path):
+        path, data = self._saved(tmp_path)
+        assert load_artifact(path)[0] == "grid"
+        for tail in (b"\x00", b"SCFA" + data):
+            self._assert_rejected(tmp_path, data + tail, "trailing")
 
 
 class TestTypedArtifacts:

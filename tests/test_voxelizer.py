@@ -1,6 +1,8 @@
 """Voxelizer tests: layout arithmetic, half-open assignment, mutual-kNN
 clustering, and bit-exact agreement with the brute-force oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from scenefusion.voxelizer import (
     VoxelGrid,
     assign_voxels,
     cluster_voxel,
-    emit_tokens,
+    exact_mean,
     grid_layout,
     token_matrix,
     voxelize,
@@ -234,7 +236,7 @@ class TestVoxelize:
         assert grid.n_visible == 1
 
 
-class TestEmitTokens:
+class TestTokenMatrix:
     def _grid(self, vis, d=4):
         dims = vis.shape
         feats = np.zeros(dims + (d,))
@@ -243,27 +245,78 @@ class TestEmitTokens:
         return VoxelGrid(layout, feats, vis)
 
     def test_all_invisible_empty(self):
-        grid = self._grid(np.zeros((2, 3, 4), dtype=bool))
-        assert emit_tokens(grid) == []
+        coords, feats = token_matrix(self._grid(np.zeros((2, 3, 4), dtype=bool)))
+        assert coords.shape == (0, 3) and feats.shape == (0, 4)
 
     def test_ordering_lexicographic(self):
         vis = np.zeros((2, 3, 4), dtype=bool)
         vis[1, 2, 3] = True
         vis[0, 0, 0] = True
-        tokens = emit_tokens(self._grid(vis))
-        assert [t[0] for t in tokens] == [(0, 0, 0), (1, 2, 3)]
+        coords, _ = token_matrix(self._grid(vis))
+        assert [tuple(c) for c in coords.tolist()] == [(0, 0, 0), (1, 2, 3)]
 
     def test_count_equals_popcount(self):
         rng = np.random.default_rng(9)
         vis = rng.random((5, 6, 7)) < 0.3
         grid = self._grid(vis)
-        tokens = emit_tokens(grid)
-        # independent popcount: count the True entries one by one
-        popcount = sum(1 for x in vis.reshape(-1) if x)
-        assert len(tokens) == popcount
+        grid.features[vis] = rng.normal(size=(int(vis.sum()), 4))
         coords, feats = token_matrix(grid)
-        assert len(coords) == popcount
-        np.testing.assert_array_equal(feats, np.stack([t[1] for t in tokens]))
+        # independent popcount and per-voxel lookup, one entry at a time
+        visible = [idx for idx in np.ndindex(vis.shape) if vis[idx]]
+        assert len(coords) == len(feats) == len(visible)
+        assert [tuple(c) for c in coords.tolist()] == visible
+        np.testing.assert_array_equal(feats, np.stack([grid.features[i] for i in visible]))
+
+
+def _fsum_means(rows):
+    """The contract, one column at a time: math.fsum over the column, / n."""
+    return np.array([math.fsum(rows[:, j].tolist()) for j in range(rows.shape[1])]) / len(rows)
+
+
+class TestExactMean:
+    def _assert_same_bits(self, rows):
+        rows = np.asarray(rows, dtype=np.float64)
+        assert exact_mean(rows).tobytes() == _fsum_means(rows).tobytes()
+
+    def test_constant_columns_where_n_times_x_rounds(self):
+        rounded = 0
+        for n in list(range(1, 40)) + [97, 255, 1000, 1999, 2000]:
+            rows = np.tile([0.1, 1.0 / 3.0, -2.7, 1e-300], (n, 1))
+            self._assert_same_bits(rows)
+            rounded += sum(0.1 for _ in range(n)) != n * 0.1
+        assert rounded  # naive summation of these columns would differ
+
+    def test_zero_columns_keep_fsum_sign(self):
+        for n in (1, 2, 5, 64):
+            self._assert_same_bits(np.full((n, 3), -0.0))
+            mixed = np.zeros((n, 4))
+            mixed[::2, 0] = -0.0
+            mixed[1::2, 1] = -0.0
+            mixed[:, 2] = -0.0
+            mixed[-1, 2] = 0.0
+            self._assert_same_bits(mixed)
+
+    def test_one_row(self):
+        rng = np.random.default_rng(3)
+        self._assert_same_bits(rng.normal(size=(1, 19)))
+        self._assert_same_bits([[0.0, -0.0, 0.1, -5.5]])
+
+    def test_constant_column_with_one_differing_row(self):
+        for n in (2, 3, 17, 400):
+            for at in (0, n // 2, n - 1):
+                rows = np.full((n, 3), 0.1)
+                rows[at, 0] = np.nextafter(0.1, 1.0)  # one ulp away
+                rows[at, 1] = -0.1
+                rows[at, 2] = 0.0
+                self._assert_same_bits(rows)
+
+    def test_mixed_columns_match_fsum(self):
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 9, 150):
+            rows = rng.normal(size=(n, 19))
+            rows[:, 4:16] = rng.normal(size=12)  # constant feature columns
+            rows[:, 16] = 0.0
+            self._assert_same_bits(rows)
 
 
 class TestInvariants:

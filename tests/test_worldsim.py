@@ -1,6 +1,8 @@
 """Simulator tests: deterministic generation, slab-test rendering against a
 per-ray oracle, action semantics, views, and templated language records."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,12 @@ from scenefusion.interact import PlannerAction
 from scenefusion.worldsim import (
     COLOR_TABLE,
     NEAR_DISTANCE,
+    AgentState,
     SimObject,
     WorldConfig,
+    WorldState,
+    _screen_windows,
+    agent_camera,
     apply_action,
     build_category_embeddings,
     capture_views,
@@ -26,6 +32,8 @@ from scenefusion.worldsim import (
     world_from_dict,
     world_to_dict,
 )
+
+from oracles import full_image_render
 
 
 def _ray_box_oracle(origin, direction, bmin, bmax):
@@ -172,6 +180,111 @@ class TestRender:
         after = render(res.world, intr, pose)
         assert not np.any(after.object_ids == target.oid)
         assert np.any(before.object_ids == target.oid) or True  # seed-dependent
+
+
+def _assert_render_matches_oracle(world, intr, pose):
+    rr = render(world, intr, pose)
+    got = (rr.depth.values, rr.depth.validity, rr.features.values, rr.colors, rr.object_ids)
+    for name, g, want in zip(("depth", "validity", "features", "colors", "ids"), got,
+                             full_image_render(world, intr, pose)):
+        assert g.dtype == want.dtype and g.shape == want.shape, name
+        assert g.tobytes() == want.tobytes(), name
+    return rr
+
+
+def _box_world(*boxes):
+    """A world of (center, size, held) boxes, ids in argument order."""
+    cats = ("box", "mug", "lamp", "vase")
+    objects = tuple(
+        SimObject(i, cats[i % 4], ("red", "green", "blue")[i % 3], np.array(c, dtype=float),
+                  np.array(sz, dtype=float), held=held)
+        for i, (c, sz, held) in enumerate(boxes)
+    )
+    return WorldState(
+        bounds_min=np.full(3, -5.0), bounds_max=np.full(3, 5.0), objects=objects,
+        agent=AgentState(np.zeros(3), np.array([0.0, 0.0, 1.0])),
+        category_embeddings=build_category_embeddings(cats, 13, seed=0), feature_dim=16,
+        seed=0, embed_seed=0, categories_pool=cats, colors_pool=("red", "green", "blue"),
+    )
+
+
+class TestRenderWindows:
+    """Screen-window culling never changes a bit of the whole-image slab test."""
+
+    INTR = CameraIntrinsics(fx=16.0, fy=16.0, cx=16.0, cy=16.0, width=32, height=32)
+
+    def test_ring_views_match_full_image_oracle(self):
+        intr = default_intrinsics(128, 128)
+        for seed in (0, 1):
+            w = gen_world(WorldConfig(n_objects=5), seed=seed)
+            for iv, pv in capture_views(w, 20, seed=seed, intr=intr):
+                _assert_render_matches_oracle(w, iv, pv)
+
+    def test_agent_views_match_full_image_oracle(self):
+        rng = np.random.default_rng(4)
+        intr = default_intrinsics(32, 32)
+        for j in range(60):
+            w = gen_world(WorldConfig(n_objects=6), seed=100 + j % 12)
+            pick = w.objects[j % len(w.objects)]
+            if j % 3 == 0:  # the picked object is held at the agent's position
+                held = replace(pick, held=True, center=w.agent.position.copy())
+                w = replace(w, objects=tuple(held if o.oid == pick.oid else o
+                                             for o in w.objects))
+            pos = pick.center.copy() if j % 4 == 1 else rng.uniform(w.bounds_min, w.bounds_max)
+            pos[2] = 0.0
+            w = replace(w, agent=AgentState(pos, rng.uniform(w.bounds_min, w.bounds_max)))
+            _assert_render_matches_oracle(w, *agent_camera(w, intr))
+
+    def _windows(self, world):
+        """Camera at the origin looking down +z, so box corners are camera-relative."""
+        lo = np.array([o.box_min for o in world.objects])
+        hi = np.array([o.box_max for o in world.objects])
+        return _screen_windows(lo, hi, self.INTR, np.eye(3))
+
+    def test_box_crossing_the_image_border(self):
+        w = _box_world(((2.2, 0.3, 3.0), (1.2, 1.2, 1.2), False),
+                       ((-0.3, -0.2, 4.0), (0.5, 0.5, 0.5), False))
+        _, cols = self._windows(w)[0]
+        assert cols.stop == 32 and 0 < cols.start < 32  # clipped at the right edge
+        rr = _assert_render_matches_oracle(w, self.INTR, Pose.identity())
+        assert rr.object_ids[:, -1].max() == 0 and (rr.object_ids == 1).any()
+
+    def test_box_straddling_the_camera_plane_uses_whole_image(self):
+        # x in [0.2, 0.8] and z in [-0.5, 0.5]: partly behind the camera
+        w = _box_world(((0.5, 0.1, 0.0), (0.6, 0.6, 1.0), False),
+                       ((0.0, 0.0, 3.0), (0.5, 0.5, 0.5), False))
+        assert self._windows(w)[0] == (slice(0, 32), slice(0, 32))
+        rr = _assert_render_matches_oracle(w, self.INTR, Pose.identity())
+        assert (rr.object_ids == 0).any()
+
+    def test_camera_inside_a_box(self):
+        w = _box_world(((0.1, 0.0, 0.2), (2.0, 2.0, 2.0), False),
+                       ((0.0, 0.0, 0.6), (0.2, 0.2, 0.2), False))
+        assert self._windows(w)[0] == (slice(0, 32), slice(0, 32))
+        rr = _assert_render_matches_oracle(w, self.INTR, Pose.identity())
+        assert rr.depth.validity.all()  # every ray leaves through a face
+        assert (rr.object_ids == 0).any() and (rr.object_ids == 1).any()
+
+    def test_box_wholly_behind_the_camera_is_skipped(self):
+        w = _box_world(((0.0, 0.0, -3.0), (1.0, 1.0, 1.0), False),
+                       ((0.0, 0.0, -0.6), (3.0, 3.0, 1.0), False),  # back face at z = -0.1
+                       ((0.2, 0.0, 2.0), (0.5, 0.5, 0.5), False))
+        windows = self._windows(w)
+        assert windows[0] is None and windows[1] is None and windows[2] is not None
+        rr = _assert_render_matches_oracle(w, self.INTR, Pose.identity())
+        assert set(np.unique(rr.object_ids).tolist()) == {-1, 2}
+
+    def test_ray_lying_in_a_box_face_plane(self):
+        # the principal ray (0, 0, 1) runs inside the face plane x = 0
+        w = _box_world(((0.5, 0.0, 2.5), (1.0, 1.0, 1.0), False))
+        rr = _assert_render_matches_oracle(w, self.INTR, Pose.identity())
+        assert rr.object_ids[16, 16] == 0 and rr.depth.values[16, 16] == 2.0
+
+    def test_held_object_does_not_occlude(self):
+        w = _box_world(((0.0, 0.0, 1.0), (0.6, 0.6, 0.6), True),
+                       ((0.0, 0.0, 3.0), (1.0, 1.0, 1.0), False))
+        rr = _assert_render_matches_oracle(w, self.INTR, Pose.identity())
+        assert rr.object_ids[16, 16] == 1 and not (rr.object_ids == 0).any()
 
 
 class TestActions:
