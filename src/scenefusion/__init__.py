@@ -55,7 +55,7 @@ from .interact import (
     plan_step,
     run_episode,
 )
-from .config import RunConfig, PRESETS
+from .config import RunConfig
 
 __version__ = "0.1.0"
 
@@ -71,7 +71,6 @@ __all__ = [
     "GridLayout",
     "ModelConfig",
     "OraclePlanner",
-    "PRESETS",
     "PlannerAction",
     "Pose",
     "RunConfig",

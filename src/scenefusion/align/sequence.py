@@ -59,10 +59,6 @@ class TokenSequence:
     def n_visual(self) -> int:
         return self.visuals.shape[0]
 
-    @property
-    def visual_slots(self) -> np.ndarray:
-        return np.nonzero(self.tokens == VISUAL_SLOT)[0]
-
     def prefix_before_answer(self) -> "TokenSequence":
         """Everything before the first masked position (the generation prompt)."""
         masked = np.nonzero(self.loss_mask)[0]

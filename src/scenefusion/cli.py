@@ -17,7 +17,7 @@ import numpy as np
 from .align.model import AlignmentModel, ModelConfig, generate
 from .align.sequence import SEQ_KIND_SCENE, assemble_sequence
 from .align.training import TrainConfig, train
-from .config import ENV_CONFIG_PATH, load_config
+from .config import load_config
 from .datagen import (
     DatagenConfig,
     build_dataset_dir,
@@ -296,32 +296,27 @@ def _cmd_ablate(args) -> int:
     world = load_world(args.world)
     model = load_checkpoint(args.checkpoint) if args.checkpoint else None
     records = _qa_records_for_world(world, args.seed) if model else []
-    rows = []
-    if args.axis == "resolution":
-        values = sorted((float(v) for v in args.values.split(",")), reverse=True)
-        for r in values:
-            state, _ = scene_from_world(world, r, VoxelClusterConfig(k=args.k),
-                                        n_views=args.n_views, seed=args.seed)
-            _, tokens = token_matrix(state.grid)
-            row = {"resolution": r, "tokens": int(state.grid.n_visible)}
-            if model:
-                row["exact_match"] = round(_em_for_tokens(model, records, tokens), 4)
-            rows.append(row)
-        counts = [row["tokens"] for row in rows]
-        if any(b < a for a, b in zip(counts, counts[1:])):
-            raise SceneFusionError(
-                f"token counts not non-decreasing as resolution shrinks: {counts}"
-            )
+    values = args.values.split(",")
+    by_resolution = args.axis == "resolution"
+    if by_resolution:  # coarse to fine
+        pairs = [(r, args.n_views) for r in sorted(map(float, values), reverse=True)]
     else:
-        values = sorted(int(v) for v in args.values.split(","))
-        for n in values:
-            state, _ = scene_from_world(world, args.r, VoxelClusterConfig(k=args.k),
-                                        n_views=n, seed=args.seed)
+        pairs = [(args.r, n) for n in sorted(map(int, values))]
+    rows = []
+    for r, n in pairs:
+        state, _ = scene_from_world(world, r, VoxelClusterConfig(k=args.k),
+                                    n_views=n, seed=args.seed)
+        row = {"resolution": r} if by_resolution else {"n_views": n}
+        row["tokens"] = int(state.grid.n_visible)
+        if model:
             _, tokens = token_matrix(state.grid)
-            row = {"n_views": n, "tokens": int(state.grid.n_visible)}
-            if model:
-                row["exact_match"] = round(_em_for_tokens(model, records, tokens), 4)
-            rows.append(row)
+            row["exact_match"] = round(_em_for_tokens(model, records, tokens), 4)
+        rows.append(row)
+    counts = [row["tokens"] for row in rows]
+    if by_resolution and any(b < a for a, b in zip(counts, counts[1:])):
+        raise SceneFusionError(
+            f"token counts not non-decreasing as resolution shrinks: {counts}"
+        )
     report = {"axis": args.axis, "rows": rows}
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:

@@ -1,21 +1,36 @@
-"""Run configuration with desk-scale defaults and the production-sized preset.
+"""Run configuration with desk-scale defaults, and the one reader that turns
+JSON dicts back into config dataclasses.
 
-Desk-scale numbers keep everything CPU-trainable in minutes; the production
-preset records the full-scale dimensioning (1030-dim point vectors projected
-through 768 to a 768-wide model, voxel resolution 0.18 m, 20 views per scene)
-and is untested at that scale here.
+Desk-scale numbers keep everything CPU-trainable in minutes.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
-from .align.training import TrainConfig
 from .errors import ConfigError
 
 ENV_CONFIG_PATH = "SCENEFUSION_CONFIG"
+
+
+def config_from_dict(cls, d):
+    """Inverse of `dataclasses.asdict` after a JSON round trip.
+
+    Lists come back as tuples and missing keys keep their defaults (files
+    written before a field existed). Unknown keys, a non-object and values
+    the dataclass rejects raise ConfigError.
+    """
+    if not isinstance(d, dict):
+        raise ConfigError(f"{cls.__name__} must be a JSON object, got {type(d).__name__}")
+    unknown = set(d) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+    try:
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
+    except TypeError as exc:
+        raise ConfigError(f"bad {cls.__name__}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -43,34 +58,6 @@ class RunConfig:
     def proj_in(self) -> int:
         return self.feature_dim + 3
 
-    @staticmethod
-    def from_dict(d: dict) -> "RunConfig":
-        known = {f.name for f in fields(RunConfig)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return RunConfig(**d)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-PRESETS = {
-    "desk": RunConfig(),
-    # Full-scale dimensioning: 1027 + 3 = 1030 projection input, 768 wide.
-    "production": RunConfig(
-        feature_dim=1027, h=768, h_mid=768, n_layers=24, n_heads=12, max_len=4096
-    ),
-}
-
-# Full-scale training schedules (batch 64, AdamW, linear warmup from 1e-6).
-PRODUCTION_STAGE1 = TrainConfig(
-    stage="stage1", lr=1e-5, warmup_steps=1000, warmup_lr=1e-6, batch_size=64, steps=6000
-)
-PRODUCTION_STAGE2 = TrainConfig(
-    stage="stage2", lr=2e-5, warmup_steps=2000, warmup_lr=1e-6, batch_size=64, steps=6000
-)
-
 
 def load_config(path=None) -> RunConfig:
     """Load a config JSON; falls back to $SCENEFUSION_CONFIG, then defaults."""
@@ -79,9 +66,4 @@ def load_config(path=None) -> RunConfig:
     if path is None:
         return RunConfig()
     with open(path, encoding="utf-8") as f:
-        return RunConfig.from_dict(json.load(f))
-
-
-def save_config(cfg: RunConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(cfg.to_dict(), f, indent=1, sort_keys=True)
+        return config_from_dict(RunConfig, json.load(f))

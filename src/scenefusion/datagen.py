@@ -11,19 +11,21 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, fields
+from collections import Counter
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .align.sequence import SEQ_KIND_FRAME, SEQ_KIND_SCENE, TokenSequence, assemble_sequence
 from .align.vocab import Vocabulary, build_vocab
-from .errors import ConfigError, EmptyInputError
+from .config import config_from_dict
+from .errors import ArtifactFormatError, EmptyInputError
 from .frame import CAMERA_FRAME, WORLD_FRAME, Frame3D, build_frame, feature_vectors
 from .geometry import CameraIntrinsics, Pose
 from .scene import SceneState, init_scene
 from .voxelizer import VoxelClusterConfig, grid_layout, token_matrix, voxelize
 from .worldsim import (
-    InstructionRecord,
+    RenderResult,
     WorldConfig,
     WorldState,
     base_vocab_words,
@@ -69,24 +71,29 @@ def frame_tokens(frame: Frame3D, resolution: float, cfg: VoxelClusterConfig) -> 
     return tokens
 
 
-def scene_from_world(world: WorldState, resolution: float, cfg: VoxelClusterConfig,
-                     n_views: int = 20, seed: int = 0,
-                     intr: CameraIntrinsics | None = None) -> tuple[SceneState, list[Frame3D]]:
-    """Multi-view scene grid over the room's own bounds.
+def room_scene(world: WorldState, frames: list[Frame3D], resolution: float,
+               cfg: VoxelClusterConfig) -> SceneState:
+    """Fuse a room's frames into a scene grid over the room's own bounds.
 
     Anchoring the layout to the room (rather than the aggregate's bounds)
     keeps voxel indices and normalized coordinates identical across view
     selections of the same world, so re-observed voxels carry bit-identical
-    tokens no matter which cameras saw them.
+    tokens no matter which cameras saw them. Empty frames are dropped.
     """
+    nonempty = [f for f in frames if f.n_points]
+    if not nonempty:
+        raise EmptyInputError("no view captured any points; is the room empty?")
+    return init_scene(nonempty, resolution, cfg,
+                      explicit_bounds=(world.bounds_min, world.bounds_max))
+
+
+def scene_from_world(world: WorldState, resolution: float, cfg: VoxelClusterConfig,
+                     n_views: int = 20, seed: int = 0,
+                     intr: CameraIntrinsics | None = None) -> tuple[SceneState, list[Frame3D]]:
+    """Multi-view scene grid of a room from its seeded capture ring."""
     views = capture_views(world, n_views, seed, intr=intr)
     frames = [frame_from_view(world, iv, pv, WORLD_FRAME) for iv, pv in views]
-    frames_nonempty = [f for f in frames if f.n_points]
-    if not frames_nonempty:
-        raise EmptyInputError("no view captured any points; is the room empty?")
-    state = init_scene(frames_nonempty, resolution, cfg,
-                       explicit_bounds=(world.bounds_min, world.bounds_max))
-    return state, frames
+    return room_scene(world, frames, resolution, cfg), frames
 
 
 def scene_tokens(state: SceneState) -> np.ndarray:
@@ -94,17 +101,25 @@ def scene_tokens(state: SceneState) -> np.ndarray:
     return tokens
 
 
-def frame_caption(world: WorldState, frame_or_ids) -> str:
-    """Ground-truth caption of a view: the objects its pixels hit, id order."""
-    if hasattr(frame_or_ids, "object_ids"):
-        ids = np.unique(frame_or_ids.object_ids)
-    else:
-        ids = np.unique(np.asarray(frame_or_ids))
-    ids = [int(i) for i in ids if i >= 0]
+def _hit_ids(rr: RenderResult) -> list[int]:
+    """Ids of the objects a render's pixels hit, ascending."""
+    return [int(i) for i in np.unique(rr.object_ids) if i >= 0]
+
+
+def frame_caption(world: WorldState, rr: RenderResult) -> str:
+    """Ground-truth caption of a rendered view: the objects its pixels hit,
+    id order."""
+    ids = _hit_ids(rr)
     if not ids:
         return "nothing"
-    objs = [world.object_by_id(i) for i in sorted(ids)]
-    return object_list_text(objs)
+    return object_list_text([world.object_by_id(i) for i in ids])
+
+
+def _render_views(world: WorldState, views, coords=(WORLD_FRAME,)):
+    """Render each view once: (its render, its frames in `coords`) per view."""
+    for iv, pv in views:
+        rr = render(world, iv, pv)
+        yield rr, [build_frame(rr.depth, rr.colors, rr.features, iv, pv, c) for c in coords]
 
 
 @dataclass(frozen=True)
@@ -132,16 +147,6 @@ class DatagenConfig:
     variant_qa_existence: int = 8
     variant_qa_counting: int = 6
     seed: int = 0
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DatagenConfig":
-        """Inverse of `asdict` after a JSON round trip: lists come back as
-        tuples, missing keys keep their defaults (files written before the
-        field existed) and unknown keys raise ConfigError."""
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown datagen config keys: {sorted(unknown)}")
-        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
 
 
 def frame_qa_records(world: WorldState, visible_ids, rng: np.random.Generator,
@@ -182,92 +187,62 @@ def frame_qa_records(world: WorldState, visible_ids, rng: np.random.Generator,
 def world_records(world: WorldState, cfg: DatagenConfig,
                   intr: CameraIntrinsics | None = None) -> list[AlignedRecord]:
     """All aligned records for one world: frame captions, per-view QA,
-    partial-scene QA, and full-scene QA."""
+    partial-scene QA, and full-scene QA. Every view is rendered once."""
     vcfg = VoxelClusterConfig(k=cfg.knn_k)
     scene_ref = f"world-{world.seed}"
     records: list[AlignedRecord] = []
 
     views = capture_views(world, cfg.n_frame_views, seed=cfg.seed + 1, intr=intr)
-    for vi, (iv, pv) in enumerate(views):
-        rr = render(world, iv, pv)
+    for vi, (rr, frames) in enumerate(_render_views(world, views, (CAMERA_FRAME, WORLD_FRAME))):
         if not rr.depth.validity.any():
             continue
         caption = frame_caption(world, rr)
-        visible_ids = sorted(int(i) for i in np.unique(rr.object_ids) if i >= 0)
         qa_rng = np.random.default_rng((cfg.seed + 1) * 7919 + world.seed * 31 + vi)
-        qa = frame_qa_records(world, visible_ids, qa_rng,
+        qa = frame_qa_records(world, _hit_ids(rr), qa_rng,
                               cfg.frame_qa_existence, cfg.frame_qa_counting)
-        for coord in (CAMERA_FRAME, WORLD_FRAME):
-            frame = build_frame(rr.depth, rr.colors, rr.features, iv, pv, coord)
+        for frame in frames:
             tokens = frame_tokens(frame, cfg.resolution, vcfg)
-            records.append(AlignedRecord(
-                SEQ_KIND_FRAME, scene_ref, "frame_caption", "", caption, tokens,
-                group="frame",
-            ))
-            for kind, instr, ans in qa:
+            for kind, instr, ans in [("frame_caption", "", caption)] + qa:
                 records.append(AlignedRecord(
                     SEQ_KIND_FRAME, scene_ref, kind, instr, ans, tokens, group="frame",
                 ))
 
-    scene_views = capture_views(world, cfg.n_views, cfg.seed, intr=intr)
-    scene_frames = [frame_from_view(world, iv, pv, WORLD_FRAME) for iv, pv in scene_views]
-    scene_visible: list[list[int]] = []
-    for iv, pv in scene_views:
-        rr = render(world, iv, pv)
-        scene_visible.append([int(i) for i in np.unique(rr.object_ids) if i >= 0])
+    def world_views(seed):  # (world-frame frame, hit ids) per captured view
+        views = capture_views(world, cfg.n_views, seed, intr=intr)
+        return [(f, _hit_ids(rr)) for rr, (f,) in _render_views(world, views)]
 
+    # (group, views, (rng, n_existence, n_counting) for QA on what the views
+    # hit): partial scenes from subsets of the canonical views and full-size
+    # variants from other view seeds; last the canonical full scene, whose
+    # QA is ground truth about the whole room
+    scene_views = world_views(cfg.seed)
+    scenes = []
     for si, size in enumerate(cfg.scene_subset_sizes):
-        sub_rng = np.random.default_rng(cfg.seed * 104729 + world.seed * 83 + si)
-        order = sub_rng.permutation(len(scene_frames))[:size]
-        picked = [scene_frames[i] for i in order if scene_frames[i].n_points]
-        if not picked:
-            continue
-        state = init_scene(picked, cfg.resolution, vcfg,
-                           explicit_bounds=(world.bounds_min, world.bounds_max))
-        tokens = scene_tokens(state)
-        visible_ids = sorted({oid for i in order for oid in scene_visible[i]})
-        qa = frame_qa_records(world, visible_ids, sub_rng,
-                              cfg.subset_qa_existence, cfg.subset_qa_counting)
-        for kind, instr, ans in qa:
-            records.append(AlignedRecord(
-                SEQ_KIND_SCENE, scene_ref, kind, instr, ans, tokens,
-                group="scene_subset",
-            ))
-
+        rng = np.random.default_rng(cfg.seed * 104729 + world.seed * 83 + si)
+        picked = [scene_views[i] for i in rng.permutation(len(scene_views))[:size]]
+        scenes.append(("scene_subset", picked,
+                       (rng, cfg.subset_qa_existence, cfg.subset_qa_counting)))
     for vi in range(cfg.scene_variants):
-        vseed = cfg.seed + 101 + 13 * vi
-        v_views = capture_views(world, cfg.n_views, vseed, intr=intr)
-        v_frames = []
-        v_visible: set[int] = set()
-        for iv, pv in v_views:
-            rr = render(world, iv, pv)
-            v_visible.update(int(i) for i in np.unique(rr.object_ids) if i >= 0)
-            f = build_frame(rr.depth, rr.colors, rr.features, iv, pv, WORLD_FRAME)
-            if f.n_points:
-                v_frames.append(f)
-        if not v_frames:
-            continue
-        state = init_scene(v_frames, cfg.resolution, vcfg,
-                           explicit_bounds=(world.bounds_min, world.bounds_max))
-        tokens = scene_tokens(state)
-        v_rng = np.random.default_rng(cfg.seed * 15485863 + world.seed * 97 + vi)
-        qa = frame_qa_records(world, sorted(v_visible), v_rng,
-                              cfg.variant_qa_existence, cfg.variant_qa_counting)
+        rng = np.random.default_rng(cfg.seed * 15485863 + world.seed * 97 + vi)
+        scenes.append(("scene_variant", world_views(cfg.seed + 101 + 13 * vi),
+                       (rng, cfg.variant_qa_existence, cfg.variant_qa_counting)))
+    scenes.append(("scene", scene_views, None))
+
+    for group, picked, view_qa in scenes:
+        frames = [f for f, _ in picked]
+        if view_qa and not any(f.n_points for f in frames):
+            continue  # a partial or variant scene that saw nothing
+        tokens = scene_tokens(room_scene(world, frames, cfg.resolution, vcfg))
+        if view_qa:
+            ids = sorted({i for _, hit in picked for i in hit})
+            qa = frame_qa_records(world, ids, *view_qa)
+        else:
+            qa = [(r.kind, r.instruction, r.answer)
+                  for r in gen_instructions(world, cfg.kinds, cfg.per_kind, cfg.seed)]
         for kind, instr, ans in qa:
             records.append(AlignedRecord(
-                SEQ_KIND_SCENE, scene_ref, kind, instr, ans, tokens,
-                group="scene_variant",
+                SEQ_KIND_SCENE, scene_ref, kind, instr, ans, tokens, group=group,
             ))
-
-    nonempty = [f for f in scene_frames if f.n_points]
-    state = init_scene(nonempty, cfg.resolution, vcfg,
-                       explicit_bounds=(world.bounds_min, world.bounds_max))
-    stokens = scene_tokens(state)
-    for rec in gen_instructions(world, cfg.kinds, cfg.per_kind, cfg.seed):
-        records.append(AlignedRecord(
-            SEQ_KIND_SCENE, scene_ref, rec.kind, rec.instruction, rec.answer, stokens,
-            group="scene",
-        ))
     return records
 
 
@@ -288,10 +263,6 @@ def sequences_for(records: list[AlignedRecord], vocab: Vocabulary) -> list[Token
     return [record_sequence(r, vocab) for r in records]
 
 
-def instruction_to_aligned(rec: InstructionRecord, stokens: np.ndarray) -> AlignedRecord:
-    return AlignedRecord(SEQ_KIND_SCENE, rec.scene_ref, rec.kind, rec.instruction, rec.answer, stokens)
-
-
 # ---------------------------------------------------------------------------
 # dataset directories (worlds + JSON-lines records, visual tokens regenerable)
 
@@ -307,28 +278,28 @@ class DatasetBundle:
 
 
 def _split_heldout(scene_records: list[AlignedRecord], n_heldout: int,
-                   seed: int) -> dict[int, str]:
+                   seed: int) -> list[str]:
     """Mark up to n_heldout QA records held-out, requiring every held-out
-    answer word to also appear among the remaining training answers."""
+    answer word to also appear among the remaining training answers.
+
+    `n_train[w]` counts the training records whose answer contains word w;
+    a candidate (itself still counted) qualifies when each of its words has
+    another training record, i.e. a count of at least 2.
+    """
     rng = np.random.default_rng(seed)
     eligible_kinds = {"qa_existence", "qa_negation", "qa_counting"}
-    order = rng.permutation(len(scene_records))
-    split = {i: "train" for i in range(len(scene_records))}
-    chosen: list[int] = []
-    for i in map(int, order):
-        if len(chosen) >= n_heldout:
+    words = [set(r.answer.lower().split()) for r in scene_records]
+    n_train = Counter(w for ws in words for w in ws)
+    split = ["train"] * len(scene_records)
+    n_chosen = 0
+    for i in map(int, rng.permutation(len(scene_records))):
+        if n_chosen >= n_heldout:
             break
-        if scene_records[i].record_kind not in eligible_kinds:
-            continue
-        trial = set(chosen) | {i}
-        train_answers = set()
-        for j, r in enumerate(scene_records):
-            if j not in trial:
-                train_answers.update(r.answer.lower().split())
-        if set(scene_records[i].answer.lower().split()) <= train_answers:
-            chosen.append(i)
-    for i in chosen:
-        split[i] = "heldout"
+        if scene_records[i].record_kind in eligible_kinds and \
+                all(n_train[w] >= 2 for w in words[i]):
+            n_train.subtract(words[i])
+            split[i] = "heldout"
+            n_chosen += 1
     return split
 
 
@@ -343,7 +314,7 @@ def build_dataset_dir(out_dir, n_worlds: int, world_cfg: WorldConfig,
     scene_records: list[AlignedRecord] = []
     n_frame = 0
     for i in range(n_worlds):
-        world = gen_world_for_dataset(world_cfg, i, dg_cfg.seed)
+        world = gen_world(world_cfg, seed=dg_cfg.seed * 100000 + i)
         save_world(world, os.path.join(out_dir, "worlds", f"world-{world.seed}.json"))
         for rec in world_records(world, dg_cfg):
             if rec.group == "scene":
@@ -368,48 +339,63 @@ def build_dataset_dir(out_dir, n_worlds: int, world_cfg: WorldConfig,
     }
     with open(os.path.join(out_dir, "meta.json"), "w", encoding="utf-8") as f:
         json.dump(meta, f, indent=1, sort_keys=True)
-    n_heldout_actual = sum(1 for v in split.values() if v == "heldout")
     return {"n_scene_records": len(scene_records), "n_frame_records": n_frame,
-            "n_heldout": n_heldout_actual}
+            "n_heldout": split.count("heldout")}
 
 
-def gen_world_for_dataset(world_cfg: WorldConfig, index: int, base_seed: int) -> WorldState:
-    return gen_world(world_cfg, seed=base_seed * 100000 + index)
+_RECORD_KEYS = ("kind", "scene_ref", "instruction", "answer", "split")
+
+
+def _read_record(line: bytes, lineno: int, stokens_by_ref: dict[str, np.ndarray]):
+    """One records.jsonl line as (split, record); ArtifactFormatError names
+    the line when it is not a well-formed record."""
+    where = f"records.jsonl line {lineno}"
+    try:
+        d = json.loads(line)
+    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+        raise ArtifactFormatError(f"{where}: invalid JSON ({exc})") from None
+    if not isinstance(d, dict):
+        raise ArtifactFormatError(f"{where}: expected a JSON object")
+    missing = [k for k in _RECORD_KEYS if not isinstance(d.get(k), str)]
+    if missing:
+        raise ArtifactFormatError(f"{where}: missing or non-string keys {missing}")
+    if d["scene_ref"] not in stokens_by_ref:
+        raise ArtifactFormatError(f"{where}: unknown scene_ref {d['scene_ref']!r}")
+    if d["split"] not in ("train", "heldout"):
+        raise ArtifactFormatError(f"{where}: split must be train or heldout, got {d['split']!r}")
+    return d["split"], AlignedRecord(SEQ_KIND_SCENE, d["scene_ref"], d["kind"], d["instruction"],
+                                     d["answer"], stokens_by_ref[d["scene_ref"]])
 
 
 def load_dataset_dir(data_dir) -> DatasetBundle:
     """Rebuild the aligned dataset (tokens included) from a dataset directory."""
     with open(os.path.join(data_dir, "meta.json"), encoding="utf-8") as f:
         meta = json.load(f)
-    dg_cfg = DatagenConfig.from_dict(meta["datagen_cfg"])
+    dg_cfg = config_from_dict(DatagenConfig, meta.get("datagen_cfg"))
     worlds: dict[str, WorldState] = {}
     wdir = os.path.join(data_dir, "worlds")
     for name in sorted(os.listdir(wdir)):
         world = load_world(os.path.join(wdir, name))
         worlds[f"world-{world.seed}"] = world
 
-    vcfg = VoxelClusterConfig(k=dg_cfg.knn_k)
     frame_records: list[AlignedRecord] = []
     stokens_by_ref: dict[str, np.ndarray] = {}
-    for ref, world in worlds.items():
-        # frame and partial-scene records regenerate via the same code path as
-        # datagen; full-scene text comes from the JSONL (it carries the splits)
-        frame_records.extend(
-            r for r in world_records(world, dg_cfg) if r.group != "scene"
-        )
-        state, _ = scene_from_world(world, dg_cfg.resolution, vcfg, dg_cfg.n_views, dg_cfg.seed)
-        stokens_by_ref[ref] = scene_tokens(state)
+    for world in worlds.values():
+        # every record regenerates via the same code path as datagen; the
+        # full-scene text comes from the JSONL (it carries the splits), so
+        # only those records' scene tokens are kept
+        for r in world_records(world, dg_cfg):
+            if r.group == "scene":
+                stokens_by_ref[r.scene_ref] = r.visual
+            else:
+                frame_records.append(r)
 
-    train_records: list[AlignedRecord] = []
-    heldout_records: list[AlignedRecord] = []
-    with open(os.path.join(data_dir, "records.jsonl"), encoding="utf-8") as f:
-        for line in f:
-            d = json.loads(line)
-            rec = AlignedRecord(
-                SEQ_KIND_SCENE, d["scene_ref"], d["kind"], d["instruction"], d["answer"],
-                stokens_by_ref[d["scene_ref"]],
-            )
-            (heldout_records if d["split"] == "heldout" else train_records).append(rec)
+    by_split: dict[str, list[AlignedRecord]] = {"train": [], "heldout": []}
+    with open(os.path.join(data_dir, "records.jsonl"), "rb") as f:
+        for lineno, line in enumerate(f, 1):
+            split, rec = _read_record(line, lineno, stokens_by_ref)
+            by_split[split].append(rec)
+    train_records, heldout_records = by_split["train"], by_split["heldout"]
 
     all_records = frame_records + train_records + heldout_records
     first_world = next(iter(worlds.values()))

@@ -30,7 +30,7 @@ class TokenizationError(SceneFusionError):
 
 
 class ArtifactFormatError(SceneFusionError):
-    """Bad magic, wrong version, or truncated/corrupt artifact file."""
+    """Bad magic, wrong version, or a truncated/corrupt artifact or dataset file."""
 
 
 class TrainingDivergedError(SceneFusionError):

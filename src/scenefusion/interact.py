@@ -25,10 +25,10 @@ import numpy as np
 
 from .align.model import AlignmentModel, generate
 from .align.sequence import SEQ_KIND_FRAME, SEQ_KIND_SCENE, assemble_sequence
-from .datagen import frame_from_view, frame_tokens, scene_tokens
+from .datagen import frame_from_view, frame_tokens, room_scene, scene_tokens
 from .errors import EpisodeFailure, SceneFusionError
 from .frame import Frame3D
-from .scene import SceneState, init_scene, update_scene
+from .scene import SceneState, update_scene
 from .voxelizer import VoxelClusterConfig
 from .worldsim import (
     ACTION_VERBS,
@@ -394,12 +394,10 @@ def run_episode(
     cfg = cluster_cfg or VoxelClusterConfig()
     if init_views is None:
         init_views = capture_views(world, n_views, seed)
-    frames0 = [frame_from_view(world, iv, pv) for iv, pv in init_views]
-    frames0 = [f for f in frames0 if f.n_points]
     # the room extent is static map knowledge: a room-sized layout keeps every
     # later egocentric frame inside the grid
-    scene = init_scene(frames0, resolution, cfg,
-                       explicit_bounds=(world.bounds_min, world.bounds_max))
+    scene = room_scene(world, [frame_from_view(world, iv, pv) for iv, pv in init_views],
+                       resolution, cfg)
     ep = EpisodeState(scene, task.text, (), "", budget)
     current = world
     steps: list[StepRecord] = []

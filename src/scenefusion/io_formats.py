@@ -29,7 +29,8 @@ import numpy as np
 
 from .align.model import AlignmentModel, ModelConfig
 from .align.vocab import Vocabulary
-from .errors import ArtifactFormatError
+from .config import config_from_dict
+from .errors import ArtifactFormatError, ConfigError
 from .frame import Frame3D
 from .geometry import Pose
 from .scene import SceneState
@@ -221,7 +222,10 @@ def load_checkpoint(path) -> AlignmentModel:
     kind, meta, arrays = load_artifact(path)
     if kind != "checkpoint":
         raise ArtifactFormatError(f"expected a checkpoint artifact, got {kind!r}")
-    cfg = ModelConfig(**meta["model_cfg"])
+    try:
+        cfg = config_from_dict(ModelConfig, meta.get("model_cfg"))
+    except ConfigError as exc:
+        raise ArtifactFormatError(f"bad checkpoint model_cfg: {exc}") from None
     vocab = Vocabulary(tuple(meta["vocab"]))
     params = {name: arrays[name] for name in meta["param_order"]}
     return AlignmentModel(cfg, params, vocab)

@@ -9,7 +9,9 @@ rounded per-column sums (math.fsum) over index-sorted members.
 
 `full_image_render` is the other kind of oracle: the renderer's slab test run
 on every pixel for every box, with no screen-window culling, so a culled
-renderer must match it byte for byte.
+renderer must match it byte for byte. `quadratic_split_heldout` is the
+held-out selection done the direct way: for each candidate, rebuild the set
+of answer words left in training and test the candidate's words against it.
 """
 
 import math
@@ -144,3 +146,28 @@ def full_image_render(world, intr, pose):
     depth = np.where(np.isfinite(best_t), best_t, 0.0).reshape(h, w)
     return (depth, (best >= 0).reshape(h, w), feat_table[best].reshape(h, w, -1),
             color_table[best].reshape(h, w, 3), id_table[best].reshape(h, w))
+
+
+def quadratic_split_heldout(scene_records, n_heldout, seed):
+    """{record index: "train" | "heldout"}, checking every candidate against
+    the answer words of all records outside the trial held-out set."""
+    rng = np.random.default_rng(seed)
+    eligible_kinds = {"qa_existence", "qa_negation", "qa_counting"}
+    order = rng.permutation(len(scene_records))
+    split = {i: "train" for i in range(len(scene_records))}
+    chosen = []
+    for i in map(int, order):
+        if len(chosen) >= n_heldout:
+            break
+        if scene_records[i].record_kind not in eligible_kinds:
+            continue
+        trial = set(chosen) | {i}
+        train_answers = set()
+        for j, r in enumerate(scene_records):
+            if j not in trial:
+                train_answers.update(r.answer.lower().split())
+        if set(scene_records[i].answer.lower().split()) <= train_answers:
+            chosen.append(i)
+    for i in chosen:
+        split[i] = "heldout"
+    return split

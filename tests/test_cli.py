@@ -138,6 +138,21 @@ class TestAblate:
         counts = [r["tokens"] for r in rows]
         assert counts[0] <= counts[1] <= counts[2]
 
+    def test_resolution_sweep_rejects_falling_token_counts(self, world_file, monkeypatch,
+                                                           capsys):
+        import scenefusion.cli as cli
+
+        real = cli.scene_from_world
+        # a stand-in scene builder whose finer grid sees fewer voxels
+        monkeypatch.setattr(cli, "scene_from_world", lambda world, r, cfg, **kw:
+                            real(world, 0.5 if r < 0.3 else 0.2, cfg, **kw))
+        rc = main(["ablate", "resolution", "--world", str(world_file),
+                   "--values", "0.36,0.18", "--n-views", "6"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: SceneFusionError: token counts not non-decreasing "
+                              "as resolution shrinks: [")
+
     def test_views_sweep(self, world_file, capsys):
         rc = main(["ablate", "views", "--world", str(world_file),
                    "--values", "2,6", "--r", "0.25"])

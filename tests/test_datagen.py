@@ -1,16 +1,22 @@
 """Dataset pipeline: aligned records, vocabulary coverage, and dataset
 directory reconstruction."""
 
+import hashlib
 import json
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from scenefusion.align.sequence import SEQ_KIND_FRAME
-from scenefusion.errors import ConfigError
+from oracles import quadratic_split_heldout
+from scenefusion import datagen
+from scenefusion.align.sequence import SEQ_KIND_FRAME, SEQ_KIND_SCENE
+from scenefusion.config import config_from_dict
+from scenefusion.errors import ArtifactFormatError, ConfigError
 from scenefusion.datagen import (
+    AlignedRecord,
     DatagenConfig,
+    _split_heldout,
     build_dataset_dir,
     corpus_vocab,
     frame_caption,
@@ -126,19 +132,19 @@ class TestDatagenConfigRoundTrip:
     def test_json_round_trip_of_every_field(self):
         cfg = DatagenConfig(kinds=("qa_counting",), scene_subset_sizes=(2, 3), scene_variants=1,
                             variant_qa_existence=0, frame_qa_counting=5, knn_k=4, seed=9)
-        assert DatagenConfig.from_dict(json.loads(json.dumps(asdict(cfg)))) == cfg
+        assert config_from_dict(DatagenConfig, json.loads(json.dumps(asdict(cfg)))) == cfg
 
     def test_missing_keys_keep_defaults(self):
         d = asdict(DatagenConfig(seed=4))
         for key in ("scene_variants", "variant_qa_existence", "variant_qa_counting"):
             del d[key]
-        assert DatagenConfig.from_dict(d) == DatagenConfig(seed=4)
+        assert config_from_dict(DatagenConfig, d) == DatagenConfig(seed=4)
 
     def test_unknown_key_raises(self):
         d = asdict(DatagenConfig())
         d["scene_variant"] = 0
         with pytest.raises(ConfigError, match="scene_variant"):
-            DatagenConfig.from_dict(d)
+            config_from_dict(DatagenConfig, d)
 
 
 class TestSceneFromWorld:
@@ -148,3 +154,143 @@ class TestSceneFromWorld:
         assert state.grid.n_visible > 0
         assert len(frames) == 6
         assert state.t == 0
+
+
+def _counting(monkeypatch, name):
+    """Count the calls datagen makes to its module-level `name`."""
+    calls = []
+    fn = getattr(datagen, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(datagen, name, counted)
+    return calls
+
+
+class TestRenderOnce:
+    def test_world_records_renders_each_view_once(self, monkeypatch):
+        w = gen_world(WorldConfig(), seed=11)
+        renders = _counting(monkeypatch, "render")
+        world_records(w, DatagenConfig())
+        # 3 frame-caption views + 6 scene views + 3 variants x 6 views
+        assert len(renders) == 27
+
+    def test_load_reuses_the_full_scene_of_world_records(self, monkeypatch, tmp_path):
+        build_dataset_dir(tmp_path, 2, WorldConfig(n_objects=3), DatagenConfig(), n_heldout=4)
+        rebuilt = _counting(monkeypatch, "scene_from_world")
+        scenes = _counting(monkeypatch, "init_scene")
+        renders = _counting(monkeypatch, "render")
+        load_dataset_dir(tmp_path)
+        assert len(rebuilt) == 0
+        # 3 view subsets + 3 variants + the full scene, per world
+        assert len(scenes) == 2 * 7
+        assert len(renders) == 2 * 27
+
+
+def _bundle_digest(bundle) -> str:
+    h = hashlib.sha256()
+    for r in bundle.frame_records + bundle.train_records + bundle.heldout_records:
+        for text in (r.group, r.kind, r.record_kind, r.scene_ref, r.instruction, r.answer):
+            h.update(text.encode() + b"\0")
+        h.update(repr(r.visual.shape).encode() + r.visual.tobytes())
+    h.update("\0".join(bundle.vocab.words).encode())
+    return h.hexdigest()
+
+
+class TestGoldenDataset:
+    def test_reload_matches_pinned_digest(self, tmp_path):
+        """Records (text and token bytes) and vocab of a 2-world dataset, as
+        the generator produced them before its scene path was consolidated."""
+        build_dataset_dir(tmp_path, 2, WorldConfig(n_objects=4), DatagenConfig(seed=1),
+                          n_heldout=6)
+        bundle = load_dataset_dir(tmp_path)
+        assert (len(bundle.frame_records), len(bundle.train_records),
+                len(bundle.heldout_records), len(bundle.vocab)) == (222, 37, 6, 124)
+        assert _bundle_digest(bundle) == \
+            "b4c7766913ef795e297931039c244ef23669930b22e93aff8a71c2ff4ee360f8"
+
+
+class TestSplitHeldout:
+    KINDS = ("qa_existence", "qa_negation", "qa_counting", "qa_spatial")
+    WORDS = ("yes", "no", "0", "1", "2", "red", "cup", "left")
+
+    def _records(self, rng, n):
+        out = []
+        for _ in range(n):
+            # 0-3 words drawn with repeats from a small pool, so answers
+            # repeat, share words, and sometimes hold a word twice
+            words = rng.choice(self.WORDS, size=int(rng.integers(0, 4)))
+            answer = " ".join(w.upper() if rng.random() < 0.2 else w for w in words)
+            kind = self.KINDS[int(rng.integers(len(self.KINDS)))]
+            out.append(AlignedRecord(SEQ_KIND_SCENE, "world-0", kind, "q", answer,
+                                     np.zeros((0, 4))))
+        return out
+
+    def test_matches_quadratic_oracle(self):
+        rng = np.random.default_rng(20)
+        n_heldout_total = 0
+        for trial in range(300):
+            records = self._records(rng, int(rng.integers(0, 40)))
+            n_heldout = int(rng.integers(0, 25))
+            expected = quadratic_split_heldout(records, n_heldout, seed=trial)
+            got = _split_heldout(records, n_heldout, seed=trial)
+            assert got == [expected[i] for i in range(len(records))]
+            n_heldout_total += got.count("heldout")
+        assert n_heldout_total > 300  # the trials do hold records out
+
+    def test_word_held_out_only_while_another_record_keeps_it(self):
+        recs = [AlignedRecord(SEQ_KIND_SCENE, "world-0", "qa_counting", "q", a, np.zeros((0, 4)))
+                for a in ("2", "2", "2 red")]
+        # "red" has no other record, so "2 red" stays and keeps "2" in training
+        for seed in range(6):
+            assert _split_heldout(recs, 3, seed) == ["heldout", "heldout", "train"]
+
+
+class TestRecordsFile:
+    """Each malformed records.jsonl line fails with the line number."""
+
+    def _dataset(self, tmp_path):
+        cfg = DatagenConfig(per_kind=2, n_views=2, n_frame_views=1, scene_subset_sizes=(1,),
+                            scene_variants=0, seed=3)
+        build_dataset_dir(tmp_path, 1, WorldConfig(n_objects=3), cfg, n_heldout=1)
+        path = tmp_path / "records.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) >= 2
+        return path, lines
+
+    def _assert_line_2_rejected(self, tmp_path, edit, match):
+        path, lines = self._dataset(tmp_path)
+        lines[1] = edit(lines[1])
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ArtifactFormatError, match=f"line 2: {match}"):
+            load_dataset_dir(tmp_path)
+
+    def _edit_json(self, **changes):
+        def edit(line):
+            d = json.loads(line)
+            d.update(changes)
+            return json.dumps({k: v for k, v in d.items() if v is not None})
+        return edit
+
+    def test_missing_key(self, tmp_path):
+        self._assert_line_2_rejected(tmp_path, self._edit_json(answer=None), "missing")
+
+    def test_unknown_scene_ref(self, tmp_path):
+        self._assert_line_2_rejected(tmp_path, self._edit_json(scene_ref="world-99"),
+                                     "unknown scene_ref 'world-99'")
+
+    def test_bad_split(self, tmp_path):
+        self._assert_line_2_rejected(tmp_path, self._edit_json(split="test"), "split")
+
+    def test_invalid_json(self, tmp_path):
+        self._assert_line_2_rejected(tmp_path, lambda line: line[:-3], "invalid JSON")
+
+    def test_bytes_not_utf8(self, tmp_path):
+        path, lines = self._dataset(tmp_path)
+        data = "\n".join(lines).encode("utf-8") + b"\n"
+        at = data.index(b"\n") + 2  # inside line 2
+        path.write_bytes(data[:at] + b"\xff" + data[at + 1:])
+        with pytest.raises(ArtifactFormatError, match="line 2: invalid JSON"):
+            load_dataset_dir(tmp_path)

@@ -2,6 +2,7 @@
 truncation fault injection."""
 
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -176,6 +177,21 @@ class TestTypedArtifacts:
         save_checkpoint(model, path)
         back = load_checkpoint(path)
         assert loss(seq, back) == loss(seq, model)  # 0 ulp
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: {**d, "hidden": 8},
+        lambda d: {**d, "h": "wide"},
+        lambda d: [d],
+    ], ids=["unknown_key", "value_it_cannot_check", "not_an_object"])
+    def test_checkpoint_with_bad_model_cfg_rejected(self, tmp_path, edit):
+        vocab = build_vocab(["alpha beta"])
+        cfg = ModelConfig(vocab_size=len(vocab), h=8, n_layers=1, n_heads=2,
+                          ff=16, max_len=32, proj_in=7, proj_mid=4)
+        model = AlignmentModel.create(cfg, vocab, seed=5)
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(model, path, extra_meta={"model_cfg": edit(asdict(cfg))})
+        with pytest.raises(ArtifactFormatError, match="model_cfg"):
+            load_checkpoint(path)
 
     def test_wrong_kind_rejected(self, sample, tmp_path):
         _, frame, _ = sample
