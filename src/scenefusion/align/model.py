@@ -18,12 +18,20 @@ bias gives heads that addressing mode directly.
 The answer loss at position i reads the logits at position i-1, so only
 masked positions (answer tokens and <eos>) contribute. Per-sequence mean
 over masked tokens, then mean over the batch.
+
+Decoding: `generate` runs the prompt through the model once, keeping each
+layer's keys and values. Every later `forward_logits` call on the sequence
+`generate` built computes one new row per layer against those keys and
+values (relative bias `rel[:, t-j]`, position embedding `pos[t]`); the
+visual prefix is packed and projected only once. Any other sequence gets the
+full recompute. A cached row's logits may differ from a full recompute by
+rounding (at most about 1e-12); the greedy tokens are checked to be equal.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -208,9 +216,11 @@ def pack_batch(seqs: list[TokenSequence], pad_id: int) -> PackedBatch:
 
 
 def _ln_forward(x, g, b):
-    mu = x.mean(axis=-1, keepdims=True)
+    # sum / n is what np.mean computes, bit for bit, without its per-call overhead
+    n = x.shape[-1]
+    mu = np.add.reduce(x, axis=-1, keepdims=True) / n
     xc = x - mu
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
     rstd = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = xc * rstd
     return xhat * g + b, (xhat, rstd)
@@ -240,8 +250,18 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b, t, nh * dh)
 
 
-def _forward(params, cfg: ModelConfig, batch: PackedBatch, want_cache: bool):
-    b, t = batch.tokens.shape
+def _forward(params, cfg: ModelConfig, batch: PackedBatch, want_cache: bool,
+             past: "_DecodeState | None" = None):
+    """Logits for rows t0..T-1 of the batch's sequences.
+
+    Without `past`, t0 = 0 and the batch holds every row. With `past` (one
+    sequence), t0 = past.n: the keys and values of positions < t0 come from
+    it, the batch holds only rows t0..T-1, and their keys and values are
+    written into it. At t0 = 0 the operations are those of the plain pass.
+    """
+    t0 = past.n if past is not None else 0
+    b, tn = batch.tokens.shape
+    t = t0 + tn
     if t > cfg.max_len:
         raise ConfigError(f"sequence length {t} exceeds model max_len {cfg.max_len}")
     if batch.visuals.shape[0] and batch.visuals.shape[1] != cfg.proj_in:
@@ -252,10 +272,11 @@ def _forward(params, cfg: ModelConfig, batch: PackedBatch, want_cache: bool):
     if batch.visuals.shape[0]:
         projected = project(batch.visuals, params)
         x[batch.visual_mask] = projected
-    x = x + params["lm.pos"][:t]
+    x = x + params["lm.pos"][t0:t]
 
-    causal = np.tril(np.ones((t, t), dtype=bool))
-    dist = np.maximum(np.subtract.outer(np.arange(t), np.arange(t)), 0)
+    offset = np.subtract.outer(np.arange(t0, t), np.arange(t))
+    causal = offset >= 0
+    dist = np.maximum(offset, 0)
     scale = 1.0 / np.sqrt(cfg.head_dim)
     layer_caches = []
     for l in range(cfg.n_layers):
@@ -264,6 +285,12 @@ def _forward(params, cfg: ModelConfig, batch: PackedBatch, want_cache: bool):
         q = _split_heads(a @ params[p + "attn.wq"] + params[p + "attn.bq"], cfg.n_heads)
         k = _split_heads(a @ params[p + "attn.wk"] + params[p + "attn.bk"], cfg.n_heads)
         v = _split_heads(a @ params[p + "attn.wv"] + params[p + "attn.bv"], cfg.n_heads)
+        if past is not None:
+            past.keys[l][:, :, t0:t] = k
+            past.values[l][:, :, t0:t] = v
+            if t0:
+                k = past.keys[l][:, :, :t]
+                v = past.values[l][:, :, :t]
         scores = (q @ k.transpose(0, 1, 3, 2)) * scale + params[p + "attn.rel"][:, dist]
         scores = np.where(causal, scores, -np.inf)
         m = scores.max(axis=-1, keepdims=True)
@@ -432,11 +459,64 @@ def gradients(seq: TokenSequence, model: AlignmentModel,
     return grads
 
 
+class _DecodeState:
+    """Keys, values and logits of the rows one `generate` call has computed.
+
+    The buffers are sized to the decode horizon once and never re-allocated.
+    """
+
+    def __init__(self, model: AlignmentModel, visuals: np.ndarray, horizon: int):
+        cfg = model.cfg
+        self.model = model
+        self.visuals = visuals
+        self.n = 0  # rows computed so far
+        self.tokens = np.empty(horizon, dtype=np.int64)
+        shape = (1, cfg.n_heads, horizon, cfg.head_dim)
+        self.keys = [np.empty(shape) for _ in range(cfg.n_layers)]
+        self.values = [np.empty(shape) for _ in range(cfg.n_layers)]
+        self.logits = np.empty((horizon, cfg.vocab_size))
+
+    def continues(self, model: AlignmentModel, seq: TokenSequence) -> bool:
+        """Whether `seq` is this state's rows plus new ones: same model and
+        visuals, and either no row yet or exactly `seq.tokens[:-1]` cached."""
+        t = len(seq)
+        if model is not self.model or seq.visuals is not self.visuals or t > len(self.tokens):
+            return False
+        return self.n == 0 or (
+            self.n == t - 1 and np.array_equal(self.tokens[: self.n], seq.tokens[:-1]))
+
+
+@dataclass(frozen=True)
+class _DecodeSequence(TokenSequence):
+    """A sequence built by `generate`; `state` holds its rows computed so far."""
+
+    state: _DecodeState = field(repr=False)
+
+
 def forward_logits(model: AlignmentModel, seq: TokenSequence) -> np.ndarray:
-    """(T, vocab) logits for one sequence; row i predicts the token at i+1."""
-    batch = pack_batch([seq], model.vocab.pad_id)
-    logits, _ = _forward(model.params, model.cfg, batch, want_cache=False)
-    return logits[0]
+    """(T, vocab) logits for one sequence; row i predicts the token at i+1.
+
+    On a sequence built by `generate` whose decode state covers exactly
+    `seq.tokens[:-1]`, only the last row is computed.
+    """
+    state = getattr(seq, "state", None)
+    if state is None or not state.continues(model, seq):
+        batch = pack_batch([seq], model.vocab.pad_id)
+        logits, _ = _forward(model.params, model.cfg, batch, want_cache=False)
+        return logits[0]
+    t0, t = state.n, len(seq)
+    if t0 == 0:
+        batch = pack_batch([seq], model.vocab.pad_id)
+    else:
+        # the new rows are generated text tokens: no visual slot, no loss
+        new = seq.tokens[None, t0:]
+        none = np.zeros(new.shape, dtype=bool)
+        batch = PackedBatch(new, none, np.zeros((0, 1)), none, np.array([t]))
+    logits, _ = _forward(model.params, model.cfg, batch, want_cache=False, past=state)
+    state.tokens[t0:t] = seq.tokens[t0:]
+    state.logits[t0:t] = logits[0]
+    state.n = t
+    return state.logits[:t].copy()
 
 
 def generate(prefix: TokenSequence, model: AlignmentModel, max_len: int = 32,
@@ -444,20 +524,24 @@ def generate(prefix: TokenSequence, model: AlignmentModel, max_len: int = 32,
     """Greedily extend a prompt until <eos> or max_len new tokens.
 
     Ties break toward the lowest token id (argmax semantics). Returns the
-    generated words (specials stripped).
+    generated words (specials stripped). Each new token is one
+    `forward_logits` call on the whole sequence so far (see the module
+    docstring for what it computes).
     """
     if decode != "greedy":
         raise ConfigError(f"unsupported decode mode {decode!r}")
     if prefix.loss_mask.any():
         raise ConfigError("generation prefix must end before the answer region")
     tokens = prefix.tokens.tolist()
+    state = _DecodeState(model, prefix.visuals,
+                         min(model.cfg.max_len, len(tokens) + max(max_len, 0)))
     generated: list[int] = []
     eos = model.vocab.eos_id
     for _ in range(max_len):
         if len(tokens) >= model.cfg.max_len:
             break
-        seq = TokenSequence(np.array(tokens, dtype=np.int64), prefix.visuals,
-                            np.zeros(len(tokens), dtype=bool))
+        seq = _DecodeSequence(np.array(tokens, dtype=np.int64), prefix.visuals,
+                              np.zeros(len(tokens), dtype=bool), state)
         logits = forward_logits(model, seq)
         nxt = int(np.argmax(logits[-1]))
         if nxt == eos:

@@ -54,10 +54,6 @@ class RunConfig:
         if self.feature_dim < 4:
             raise ConfigError("feature_dim must be >= 4")
 
-    @property
-    def proj_in(self) -> int:
-        return self.feature_dim + 3
-
 
 def load_config(path=None) -> RunConfig:
     """Load a config JSON; falls back to $SCENEFUSION_CONFIG, then defaults."""

@@ -19,7 +19,7 @@ import numpy as np
 from .align.sequence import SEQ_KIND_FRAME, SEQ_KIND_SCENE, TokenSequence, assemble_sequence
 from .align.vocab import Vocabulary, build_vocab
 from .config import config_from_dict
-from .errors import ArtifactFormatError, EmptyInputError
+from .errors import ArtifactFormatError, ConfigError, EmptyInputError
 from .frame import CAMERA_FRAME, WORLD_FRAME, Frame3D, build_frame, feature_vectors
 from .geometry import CameraIntrinsics, Pose
 from .scene import SceneState, init_scene
@@ -368,10 +368,18 @@ def _read_record(line: bytes, lineno: int, stokens_by_ref: dict[str, np.ndarray]
 
 
 def load_dataset_dir(data_dir) -> DatasetBundle:
-    """Rebuild the aligned dataset (tokens included) from a dataset directory."""
-    with open(os.path.join(data_dir, "meta.json"), encoding="utf-8") as f:
-        meta = json.load(f)
-    dg_cfg = config_from_dict(DatagenConfig, meta.get("datagen_cfg"))
+    """Rebuild the aligned dataset (tokens included) from a dataset directory.
+
+    A dataset file that is not valid JSON or lacks what it must hold raises
+    ArtifactFormatError naming the file.
+    """
+    meta_path = os.path.join(data_dir, "meta.json")
+    try:
+        with open(meta_path, "rb") as f:
+            meta = json.load(f)
+        dg_cfg = config_from_dict(DatagenConfig, meta.get("datagen_cfg"))
+    except (ValueError, AttributeError, ConfigError) as exc:
+        raise ArtifactFormatError(f"{meta_path}: bad dataset meta ({exc})") from None
     worlds: dict[str, WorldState] = {}
     wdir = os.path.join(data_dir, "worlds")
     for name in sorted(os.listdir(wdir)):

@@ -27,7 +27,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .align.model import AlignmentModel, ModelConfig
+from .align.model import AlignmentModel, ModelConfig, init_params
 from .align.vocab import Vocabulary
 from .config import config_from_dict
 from .errors import ArtifactFormatError, ConfigError
@@ -219,6 +219,8 @@ def save_checkpoint(model: AlignmentModel, path, extra_meta: dict | None = None)
 
 
 def load_checkpoint(path) -> AlignmentModel:
+    """Read a checkpoint; ArtifactFormatError when its config, vocabulary or
+    parameters (names, shapes, float64) do not make the model it describes."""
     kind, meta, arrays = load_artifact(path)
     if kind != "checkpoint":
         raise ArtifactFormatError(f"expected a checkpoint artifact, got {kind!r}")
@@ -226,6 +228,27 @@ def load_checkpoint(path) -> AlignmentModel:
         cfg = config_from_dict(ModelConfig, meta.get("model_cfg"))
     except ConfigError as exc:
         raise ArtifactFormatError(f"bad checkpoint model_cfg: {exc}") from None
-    vocab = Vocabulary(tuple(meta["vocab"]))
-    params = {name: arrays[name] for name in meta["param_order"]}
-    return AlignmentModel(cfg, params, vocab)
+    words, order = meta.get("vocab"), meta.get("param_order")
+    if not isinstance(words, list) or not isinstance(order, list):
+        raise ArtifactFormatError("checkpoint meta needs the lists vocab and param_order")
+    try:
+        vocab = Vocabulary(tuple(words))
+    except ConfigError as exc:
+        raise ArtifactFormatError(f"bad checkpoint vocab: {exc}") from None
+    if len(vocab) != cfg.vocab_size:
+        raise ArtifactFormatError(
+            f"checkpoint vocab has {len(vocab)} words, model_cfg says {cfg.vocab_size}")
+    missing = [name for name in order if name not in arrays]
+    if missing:
+        raise ArtifactFormatError(f"checkpoint lacks the listed arrays {missing}")
+    shapes = {name: p.shape for name, p in init_params(cfg).items()}
+    if sorted(order) != sorted(shapes):
+        raise ArtifactFormatError(
+            f"checkpoint parameters {sorted(set(order) ^ set(shapes))} do not match model_cfg")
+    for name in order:
+        arr = arrays[name]
+        if arr.shape != shapes[name] or arr.dtype != np.float64:
+            raise ArtifactFormatError(
+                f"checkpoint parameter {name} is {arr.dtype} {arr.shape}, "
+                f"model_cfg needs float64 {shapes[name]}")
+    return AlignmentModel(cfg, {name: arrays[name] for name in order}, vocab)

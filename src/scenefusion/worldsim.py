@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, GenerationError
+from .errors import ArtifactFormatError, ConfigError, GenerationError
 from .geometry import CameraIntrinsics, DepthImage, Pose, look_at_pose
 from .frame import FeatureImage
 
@@ -833,5 +833,11 @@ def save_world(world: WorldState, path) -> None:
 
 
 def load_world(path) -> WorldState:
-    with open(path, encoding="utf-8") as f:
-        return world_from_dict(json.load(f))
+    """Read a world file; ArtifactFormatError names the file when it is not
+    valid JSON or lacks a key or value a world needs."""
+    try:
+        with open(path, "rb") as f:
+            d = json.load(f)
+        return world_from_dict(d)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ArtifactFormatError(f"{path}: bad world file ({exc!r})") from None

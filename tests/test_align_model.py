@@ -1,9 +1,14 @@
 """Model-level contracts: loss values against an independent softmax/NLL
-recomputation, finite-difference gradients, loss-mask soundness, causality."""
+recomputation, finite-difference gradients, loss-mask soundness, causality,
+and cached greedy decoding against full recomputation."""
+
+import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from scenefusion.align import model as model_module
 from scenefusion.align.model import (
     AlignmentModel,
     ModelConfig,
@@ -13,9 +18,11 @@ from scenefusion.align.model import (
     init_params,
     loss,
 )
-from scenefusion.align.sequence import assemble_sequence
+from scenefusion.align.sequence import TokenSequence, assemble_sequence
 from scenefusion.align.vocab import build_vocab
 from scenefusion.errors import ConfigError
+
+GOLDEN_FULL_PASS = "6c759af485d677b2fb444dff67881fcb1108d106a226fe036e0ea48e0eed530f"
 
 
 def tiny_model(vocab, h=8, layers=1, heads=2, ff=16, proj_in=7, proj_mid=4, seed=1):
@@ -212,3 +219,163 @@ class TestGenerate:
         seq = assemble_sequence("scene", np.zeros((1, 7)), "w1", "", vocab)
         out = generate(seq.prefix_before_answer(), model, max_len=3)
         assert out == ""  # pad is a special token, stripped from the text
+
+
+def _decode_model(vocab, seed):
+    """A seeded random model whose every parameter (biases, norms and the
+    relative bias included) is perturbed away from its initial value."""
+    rng = np.random.default_rng(seed)
+    heads = (1, 2, 3)[seed % 3]
+    cfg = ModelConfig(vocab_size=len(vocab), h=6 * heads, n_layers=1 + seed % 3,
+                      n_heads=heads, ff=20, max_len=40, proj_in=7, proj_mid=5)
+    params = {k: v + rng.normal(0.0, 0.3, size=v.shape)
+              for k, v in init_params(cfg, seed).items()}
+    # a random <eos> offset, so some decodes stop early and some run out
+    params["lm.head.b"][vocab.eos_id] += rng.normal(0.0, 1.5)
+    return AlignmentModel(cfg, params, vocab)
+
+
+def _prompt(rng, vocab, n_vis, n_instr):
+    words = list(vocab.words[5:])
+    instr = " ".join(rng.choice(words, size=n_instr))
+    return assemble_sequence("scene", rng.normal(size=(n_vis, 7)), instr, "",
+                             vocab).prefix_before_answer()
+
+
+def _plain(tokens, visuals):
+    return TokenSequence(np.array(tokens, dtype=np.int64), visuals,
+                         np.zeros(len(tokens), dtype=bool))
+
+
+def _reference_decode(prefix, model, max_len):
+    """Greedy decoding as a loop of full passes over plain sequences: the
+    generated ids and the logits of every pass."""
+    tokens, ids, passes = prefix.tokens.tolist(), [], []
+    for _ in range(max_len):
+        if len(tokens) >= model.cfg.max_len:
+            break
+        logits = forward_logits(model, _plain(tokens, prefix.visuals))
+        passes.append(logits)
+        nxt = int(np.argmax(logits[-1]))
+        if nxt == model.vocab.eos_id:
+            break
+        ids.append(nxt)
+        tokens.append(nxt)
+    return ids, passes
+
+
+def _cached_decode(monkeypatch, prefix, model, max_len):
+    """`generate`'s text, plus the sequence and logits of each
+    `forward_logits` call it made."""
+    calls = []
+    full = model_module.forward_logits
+
+    def spy(m, seq):
+        logits = full(m, seq)
+        calls.append((seq, logits.copy()))
+        return logits
+
+    monkeypatch.setattr(model_module, "forward_logits", spy)
+    out = generate(prefix, model, max_len=max_len)
+    monkeypatch.setattr(model_module, "forward_logits", full)
+    return out, calls
+
+
+def _decode_cases(vocab):
+    """(model, prompt, max_len): 20 seeded random cases, then the edges."""
+    cases = []
+    for seed in range(20):
+        rng = np.random.default_rng(100 + seed)
+        model = _decode_model(vocab, seed)
+        n_vis = 0 if seed % 4 == 0 else int(rng.integers(1, 6))
+        cases.append((model, _prompt(rng, vocab, n_vis, int(rng.integers(1, 6))),
+                      int(rng.integers(1, 30))))
+    rng = np.random.default_rng(7)
+    model = _decode_model(vocab, 3)
+    short = model.cfg.max_len - 1  # the prompt leaves room for one token
+    cases.append((model, _prompt(rng, vocab, 2, short - 5), 10))
+    cases.append((model, _prompt(rng, vocab, 0, 3), 1))
+    cases.append((model, _prompt(rng, vocab, 0, 0), 50))  # more than cfg.max_len allows
+    return cases
+
+
+class TestCachedDecode:
+    """`generate` computes one row per token after the prompt pass; it must
+    emit what a loop of full passes over plain sequences emits."""
+
+    def test_same_tokens_and_logits_as_full_recompute(self, vocab, monkeypatch):
+        n_steps = 0
+        for model, prefix, max_len in _decode_cases(vocab):
+            ids, passes = _reference_decode(prefix, model, max_len)
+            out, calls = _cached_decode(monkeypatch, prefix, model, max_len)
+            assert out == vocab.decode(ids)
+            assert len(calls) == len(passes)
+            for (seq, logits), ref in zip(calls, passes):
+                assert logits.shape == ref.shape
+                assert np.max(np.abs(logits - ref)) <= 1e-12
+                assert np.argmax(logits[-1]) == np.argmax(ref[-1])
+            # the prompt pass is the full pass itself
+            np.testing.assert_array_equal(calls[0][1], passes[0])
+            n_steps += len(calls)
+        assert n_steps > 200
+
+    def test_edge_cases_make_one_call(self, vocab, monkeypatch):
+        """A prompt one token short of cfg.max_len, and max_len=1: one pass."""
+        (model, short, _), (_, single, _) = _decode_cases(vocab)[20:22]
+        assert len(short) == model.cfg.max_len - 1
+        assert len(_cached_decode(monkeypatch, short, model, 10)[1]) == 1
+        assert len(_cached_decode(monkeypatch, single, model, 1)[1]) == 1
+
+    def test_call_count_is_tokens_plus_eos(self, vocab, monkeypatch):
+        stopped_at_eos = ran_out = 0
+        for model, prefix, max_len in _decode_cases(vocab):
+            ids, passes = _reference_decode(prefix, model, max_len)
+            out, calls = _cached_decode(monkeypatch, prefix, model, max_len)
+            eos = bool(passes) and int(np.argmax(passes[-1][-1])) == vocab.eos_id
+            assert len(calls) == len(ids) + eos == len(passes)
+            stopped_at_eos += eos
+            ran_out += not eos
+        assert stopped_at_eos and ran_out
+
+    def test_other_sequences_get_the_full_pass(self, vocab, monkeypatch):
+        """A sequence whose decode state does not cover exactly its tokens but
+        the last, for this model and these visuals, gets the plain full pass
+        bit for bit: a re-run, another model object, an edited earlier token,
+        a copy of the visuals."""
+        model, prefix, max_len = _decode_cases(vocab)[1]
+        twin = model.with_params(model.params)
+        full = model_module.forward_logits
+        n_checked = 0
+
+        def check_then_run(m, seq):
+            nonlocal n_checked
+            if seq.state.n == len(seq) - 1:  # the next call takes the one-row path
+                toks = seq.tokens.copy()
+                toks[-2] = (toks[-2] + 1) % len(vocab)
+                for other_model, other in (
+                        (twin, seq),
+                        (model, replace(seq, tokens=toks)),
+                        (model, replace(seq, visuals=seq.visuals.copy()))):
+                    plain = full(model, _plain(other.tokens, other.visuals))
+                    np.testing.assert_array_equal(full(other_model, other), plain)
+                n_checked += 1
+            logits = full(m, seq)
+            # the state now covers the whole sequence, so a re-run is plain too
+            np.testing.assert_array_equal(full(m, seq), full(m, _plain(seq.tokens, seq.visuals)))
+            return logits
+
+        monkeypatch.setattr(model_module, "forward_logits", check_then_run)
+        generate(prefix, model, max_len=max_len)
+        assert n_checked >= 2
+
+    def test_full_pass_matches_pinned_digest(self, vocab):
+        """sha256 over `forward_logits` of plain sequences, pinned before the
+        decode cache existed (float64, this numpy/OpenBLAS build)."""
+        h = hashlib.sha256()
+        for seed in range(6):
+            rng = np.random.default_rng(300 + seed)
+            model = _decode_model(vocab, seed)
+            for n_vis in (0, 3):
+                seq = _prompt(rng, vocab, n_vis, int(rng.integers(1, 12)))
+                h.update(forward_logits(model, seq).tobytes())
+        assert h.hexdigest() == GOLDEN_FULL_PASS

@@ -294,3 +294,39 @@ class TestRecordsFile:
         path.write_bytes(data[:at] + b"\xff" + data[at + 1:])
         with pytest.raises(ArtifactFormatError, match="line 2: invalid JSON"):
             load_dataset_dir(tmp_path)
+
+
+class TestDatasetJsonFiles:
+    """A truncated or incomplete meta.json or world file fails with a format
+    error that names the file."""
+
+    def _dataset(self, tmp_path):
+        cfg = DatagenConfig(per_kind=1, n_views=2, n_frame_views=1, scene_subset_sizes=(1,),
+                            scene_variants=0, seed=3)
+        build_dataset_dir(tmp_path, 1, WorldConfig(n_objects=2), cfg, n_heldout=1)
+        (world,) = sorted((tmp_path / "worlds").iterdir())
+        return tmp_path / "meta.json", world
+
+    def _truncate(self, path):
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+
+    def test_truncated_meta(self, tmp_path):
+        meta, _ = self._dataset(tmp_path)
+        self._truncate(meta)
+        with pytest.raises(ArtifactFormatError, match="meta.json"):
+            load_dataset_dir(tmp_path)
+
+    def test_truncated_world(self, tmp_path):
+        _, world = self._dataset(tmp_path)
+        self._truncate(world)
+        with pytest.raises(ArtifactFormatError, match=world.name):
+            load_dataset_dir(tmp_path)
+
+    def test_world_missing_a_key(self, tmp_path):
+        _, world = self._dataset(tmp_path)
+        d = json.loads(world.read_text(encoding="utf-8"))
+        del d["objects"][0]["size"]
+        world.write_text(json.dumps(d), encoding="utf-8")
+        with pytest.raises(ArtifactFormatError, match=f"{world.name}.*size"):
+            load_dataset_dir(tmp_path)

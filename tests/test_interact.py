@@ -4,11 +4,13 @@ prompts, the episode harness, and the scene-update ablation."""
 import numpy as np
 import pytest
 
-from scenefusion.align.model import AlignmentModel, ModelConfig
+from scenefusion import interact
+from scenefusion.align.model import AlignmentModel, ModelConfig, generate, init_params
 from scenefusion.align.sequence import assemble_sequence
 from scenefusion.align.training import TrainConfig, train
 from scenefusion.align.vocab import build_vocab
-from scenefusion.datagen import frame_from_view, frame_tokens
+from scenefusion.datagen import frame_from_view, frame_tokens, scene_tokens
+from scenefusion.errors import EpisodeFailure
 from scenefusion.interact import (
     EpisodeState,
     GridBeliefPlanner,
@@ -23,7 +25,13 @@ from scenefusion.interact import (
 )
 from scenefusion.scene import update_scene
 from scenefusion.voxelizer import VoxelClusterConfig
-from scenefusion.worldsim import WorldConfig, capture_views, gen_tasks, gen_world
+from scenefusion.worldsim import (
+    WorldConfig,
+    base_vocab_words,
+    capture_views,
+    gen_tasks,
+    gen_world,
+)
 
 CFG = VoxelClusterConfig(k=5)
 
@@ -72,6 +80,80 @@ class TestPlanningPrompt:
         with_desc = planning_prompt(ep, egocentric=True)
         without = planning_prompt(ep, egocentric=False)
         assert without == with_desc.replace("i saw a red mug ", "")
+
+
+class TestPlanStepContract:
+    """`plan_step` on hand-set models: every parameter zero except `lm.head.b`,
+    which makes one word the argmax at every position."""
+
+    TASK = "put the mug near the box"
+    DONE = ("goto ( mug )", "pick ( mug )")
+
+    @pytest.fixture(scope="class")
+    def scene(self):
+        w = gen_world(WorldConfig(n_objects=2), seed=0)
+        frames = [frame_from_view(w, iv, pv) for iv, pv in capture_views(w, 2, seed=0)]
+        from scenefusion.scene import init_scene
+
+        return init_scene(frames, 0.25, CFG)
+
+    def _ep(self, scene, desc="i saw a red mug", done=DONE):
+        return EpisodeState(scene, self.TASK, done, desc, 10)
+
+    def _model(self, scene, word):
+        vocab = build_vocab([self.TASK], extra_words=base_vocab_words())
+        width = scene_tokens(scene).shape[1]
+        cfg = ModelConfig(vocab_size=len(vocab), h=8, n_layers=1, n_heads=2, ff=16,
+                          max_len=512, proj_in=width, proj_mid=4)
+        params = {k: np.zeros_like(v) for k, v in init_params(cfg).items()}
+        params["lm.head.b"][vocab.encode_word(word)] = 10.0
+        return AlignmentModel(cfg, params, vocab)
+
+    def _counting_generate(self, monkeypatch, first=None):
+        """Record each `generate` call's prompt words; `first`, when given,
+        stands in for the first call's output."""
+        calls = []
+
+        def counted(prefix, model, max_len=32):
+            calls.append(model.vocab.decode(t for t in prefix.tokens if t >= 0))
+            if first is not None and len(calls) == 1:
+                return first
+            return generate(prefix, model, max_len=max_len)
+
+        monkeypatch.setattr(interact, "generate", counted)
+        return calls
+
+    def test_prompt_text_with_and_without_description(self, scene):
+        ep = self._ep(scene)
+        rest = "task : put the mug near the box completed : goto ( mug ) pick ( mug ) next-step:"
+        assert planning_prompt(ep) == "i saw a red mug " + rest
+        assert planning_prompt(ep, egocentric=False) == rest
+        assert planning_prompt(self._ep(scene, desc=""), egocentric=True) == rest
+        assert planning_prompt(self._ep(scene, done=())) == \
+            "i saw a red mug task : put the mug near the box next-step:"
+
+    def test_parseable_first_answer(self, scene, monkeypatch):
+        calls = self._counting_generate(monkeypatch)
+        ep = self._ep(scene)
+        action, prompt = plan_step(ep, self._model(scene, "done"), max_len=1)
+        assert action == PlannerAction("done")
+        assert prompt == planning_prompt(ep)
+        assert calls == [prompt]
+
+    def test_replan_once_after_an_unparseable_answer(self, scene, monkeypatch):
+        calls = self._counting_generate(monkeypatch, first="red red")
+        ep = self._ep(scene, desc="")
+        action, prompt = plan_step(ep, self._model(scene, "done"), max_len=1)
+        assert action == PlannerAction("done")
+        assert calls == [prompt, prompt]
+
+    def test_unparseable_twice_raises_with_transcript(self, scene, monkeypatch):
+        calls = self._counting_generate(monkeypatch)
+        ep = self._ep(scene)
+        with pytest.raises(EpisodeFailure) as info:
+            plan_step(ep, self._model(scene, "mug"), egocentric=False, max_len=3)
+        assert info.value.transcript == ["mug mug mug", "mug mug mug"]
+        assert calls == [planning_prompt(ep, egocentric=False)] * 2
 
 
 @pytest.fixture(scope="module")

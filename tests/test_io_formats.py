@@ -193,6 +193,46 @@ class TestTypedArtifacts:
         with pytest.raises(ArtifactFormatError, match="model_cfg"):
             load_checkpoint(path)
 
+    def _checkpoint_parts(self):
+        vocab = build_vocab(["alpha beta"])
+        cfg = ModelConfig(vocab_size=len(vocab), h=8, n_layers=1, n_heads=2,
+                          ff=16, max_len=32, proj_in=7, proj_mid=4)
+        model = AlignmentModel.create(cfg, vocab, seed=5)
+        meta = {"model_cfg": asdict(cfg), "vocab": list(vocab.words),
+                "param_order": list(model.params)}
+        return meta, dict(model.params)
+
+    @pytest.mark.parametrize("key", ["vocab", "param_order"])
+    def test_checkpoint_without_vocab_or_order_rejected(self, tmp_path, key):
+        meta, arrays = self._checkpoint_parts()
+        del meta[key]
+        save_artifact(tmp_path / "ckpt.bin", "checkpoint", meta, arrays)
+        with pytest.raises(ArtifactFormatError, match="vocab and param_order"):
+            load_checkpoint(tmp_path / "ckpt.bin")
+
+    def test_checkpoint_missing_a_listed_array_rejected(self, tmp_path):
+        meta, arrays = self._checkpoint_parts()
+        del arrays["lm.head.b"]
+        save_artifact(tmp_path / "ckpt.bin", "checkpoint", meta, arrays)
+        with pytest.raises(ArtifactFormatError, match="lm.head.b"):
+            load_checkpoint(tmp_path / "ckpt.bin")
+
+    @pytest.mark.parametrize("edit", ["rename", "drop", "shape", "dtype"])
+    def test_checkpoint_params_must_match_model_cfg(self, tmp_path, edit):
+        meta, arrays = self._checkpoint_parts()
+        if edit == "rename":
+            arrays["lm.head.bias"] = arrays.pop("lm.head.b")
+        elif edit == "drop":
+            del arrays["lm.head.b"]
+        elif edit == "shape":
+            arrays["lm.head.b"] = arrays["lm.head.b"][:-1]
+        else:
+            arrays["lm.head.b"] = arrays["lm.head.b"].astype(np.int64)
+        meta["param_order"] = list(arrays)
+        save_artifact(tmp_path / "ckpt.bin", "checkpoint", meta, arrays)
+        with pytest.raises(ArtifactFormatError, match="lm.head.b"):
+            load_checkpoint(tmp_path / "ckpt.bin")
+
     def test_wrong_kind_rejected(self, sample, tmp_path):
         _, frame, _ = sample
         path = tmp_path / "frame.bin"
