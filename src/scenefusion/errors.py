@@ -47,7 +47,7 @@ class GenerationError(SceneFusionError):
 
 
 class EpisodeFailure(SceneFusionError):
-    """Planner output stayed unparseable after one replan; carries transcript."""
+    """Planner output was unparseable; carries the transcript of model outputs."""
 
     def __init__(self, msg, transcript=None):
         super().__init__(msg)

@@ -29,7 +29,7 @@ from .datagen import frame_from_view, frame_tokens, room_scene, scene_tokens
 from .errors import EpisodeFailure, SceneFusionError
 from .frame import Frame3D
 from .scene import SceneState, update_scene
-from .voxelizer import VoxelClusterConfig
+from .voxelizer import VoxelClusterConfig, token_matrix
 from .worldsim import (
     ACTION_VERBS,
     INTERACT_RADIUS,
@@ -116,21 +116,15 @@ def planning_prompt(ep: EpisodeState, egocentric: bool = True) -> str:
 
 def plan_step(ep: EpisodeState, model: AlignmentModel, egocentric: bool = True,
               max_len: int = 12) -> tuple[PlannerAction, str]:
-    """Ask the model for the next action; replan once on a parse failure."""
+    """Ask the model for the next action, once: greedy decoding repeats a bad answer."""
     visual = scene_tokens(ep.scene)
     prompt_text = planning_prompt(ep, egocentric)
     seq = assemble_sequence(SEQ_KIND_SCENE, visual, prompt_text, "", model.vocab)
-    prefix = seq.prefix_before_answer()
-    transcript = []
-    for _ in range(2):
-        out = generate(prefix, model, max_len=max_len)
-        transcript.append(out)
-        action = parse_action(out)
-        if action is not None:
-            return action, prompt_text
-    raise EpisodeFailure(
-        f"planner output unparseable twice: {transcript!r}", transcript=transcript
-    )
+    out = generate(seq.prefix_before_answer(), model, max_len=max_len)
+    action = parse_action(out)
+    if action is None:
+        raise EpisodeFailure(f"planner output unparseable: {out!r}", transcript=[out])
+    return action, prompt_text
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +173,9 @@ class GridBeliefPlanner:
         self.placed = False
 
     def _believed_position(self, scene: SceneState, obj) -> np.ndarray | None:
-        grid = scene.grid
-        if not grid.visibility.any():
+        coords, feats = token_matrix(scene.grid)
+        if not len(feats):
             return None
-        feats = grid.features[grid.visibility]
         emb_dim = len(self.embeddings[obj.category])
         emb = feats[:, :emb_dim]
         colors = feats[:, emb_dim:emb_dim + 3]
@@ -196,9 +189,8 @@ class GridBeliefPlanner:
         match = (cos > 0.98) & col_ok
         if not match.any():
             return None
-        coords = np.argwhere(grid.visibility)[match]
-        layout = grid.layout
-        centers = layout.origin + (coords + 0.5) * layout.resolution
+        layout = scene.layout
+        centers = layout.origin + (coords[match] + 0.5) * layout.resolution
         return centers.mean(axis=0)
 
     def __call__(self, ep: EpisodeState, obs: Observation) -> PlannerAction:

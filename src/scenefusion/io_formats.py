@@ -177,9 +177,18 @@ def _grid_payload(grid: VoxelGrid) -> tuple[dict, dict]:
     return meta, {"features": grid.features, "visibility": grid.visibility}
 
 
-def _grid_from_payload(meta: dict, arrays: dict) -> VoxelGrid:
-    layout = GridLayout(np.array(meta["origin"]), meta["resolution"], tuple(meta["dims"]))
-    return VoxelGrid(layout, arrays["features"], arrays["visibility"])
+def _grid_from_payload(path, meta: dict, arrays: dict) -> VoxelGrid:
+    """ArtifactFormatError naming the file when a field is missing or bad, the
+    visibility is not bool, or an invisible voxel has a nonzero bit (-0.0 too)."""
+    try:
+        layout = GridLayout(np.array(meta["origin"]), meta["resolution"], tuple(meta["dims"]))
+        if arrays["visibility"].dtype != bool:
+            raise ConfigError(f"visibility is {arrays['visibility'].dtype}, not bool")
+        return VoxelGrid(layout, arrays["features"], arrays["visibility"])
+    except KeyError as exc:
+        raise ArtifactFormatError(f"{path}: grid lacks {exc}") from None
+    except (ConfigError, TypeError, ValueError) as exc:
+        raise ArtifactFormatError(f"{path}: bad grid ({exc})") from None
 
 
 def save_grid(grid: VoxelGrid, path) -> None:
@@ -191,7 +200,7 @@ def load_grid(path) -> VoxelGrid:
     kind, meta, arrays = load_artifact(path)
     if kind != "grid":
         raise ArtifactFormatError(f"expected a grid artifact, got {kind!r}")
-    return _grid_from_payload(meta, arrays)
+    return _grid_from_payload(path, meta, arrays)
 
 
 def save_scene(state: SceneState, path) -> None:
@@ -204,7 +213,9 @@ def load_scene(path) -> SceneState:
     kind, meta, arrays = load_artifact(path)
     if kind != "scene":
         raise ArtifactFormatError(f"expected a scene artifact, got {kind!r}")
-    return SceneState(grid=_grid_from_payload(meta, arrays), t=meta["t"])
+    if not isinstance(meta.get("t"), int):
+        raise ArtifactFormatError(f"{path}: scene lacks an integer step t")
+    return SceneState(grid=_grid_from_payload(path, meta, arrays), t=meta["t"])
 
 
 def save_checkpoint(model: AlignmentModel, path, extra_meta: dict | None = None) -> None:

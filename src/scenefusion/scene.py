@@ -8,12 +8,13 @@ the hard-mask rule
     F[t+1] = F[t] * (1 - V_hat) + F_hat * V_hat
 
 applied element-wise with V_hat broadcast across the feature axis. It is
-computed as a select, not with the arithmetic above, so freshly observed
-voxels take the frame's bits verbatim and everything else keeps its old bits,
-signed zeros included. Scene visibility accumulates by OR, so once-seen
-voxels stay on the map. A frame that looks at a now-empty region contributes no points
-there (V_hat = 0), so stale features persist until something is observed in
-that voxel again.
+computed as a sorted merge of the two grids' visible-voxel index sets: the
+scene's rows are placed first and the frame's rows overwrite theirs verbatim,
+so observed voxels take the frame's bits and all others keep their old bits,
+signed zeros included, as a dense select would. Visibility accumulates by OR,
+so once-seen voxels stay on the map. A frame that looks at a now-empty region
+contributes no points there (V_hat = 0), so stale features persist until
+something is observed in that voxel again.
 """
 
 from __future__ import annotations
@@ -147,7 +148,8 @@ def merge_frame_grid(state: SceneState, frame_grid: VoxelGrid) -> SceneState:
     """Apply the hard-mask merge given an already-voxelized frame grid."""
     if frame_grid.layout.dims != state.layout.dims or frame_grid.feature_dim != state.grid.feature_dim:
         raise ConfigError("frame grid layout/feature dim does not match scene grid")
-    features = np.where(frame_grid.visibility[..., None], frame_grid.features, state.grid.features)
-    visibility = state.grid.visibility | frame_grid.visibility
-    new_grid = VoxelGrid(state.layout, features, visibility)
-    return SceneState(grid=new_grid, t=state.t + 1)
+    index = np.union1d(state.grid.index, frame_grid.index)
+    rows = np.empty((len(index), frame_grid.feature_dim))
+    rows[np.searchsorted(index, state.grid.index)] = state.grid.rows
+    rows[np.searchsorted(index, frame_grid.index)] = frame_grid.rows
+    return SceneState(grid=VoxelGrid.from_rows(state.layout, index, rows), t=state.t + 1)

@@ -1,12 +1,15 @@
 """Fixed-resolution voxel grids over feature point sets.
 
 Each occupied voxel stores the mean vector of the largest semantic cluster of
-its contained points; a boolean visibility map marks occupancy, and only
-visible voxels emit visual tokens. Clustering is connected components of the
-mutual k-nearest-neighbor graph built on the semantic block of each point
-vector (the trailing 3 entries are normalized coordinates and are excluded
-from distances: points sharing a voxel are already spatially co-located, so
-the graph separates points by what they are, not where they sit).
+its contained points, and only these visible voxels emit visual tokens. A grid
+stores just them (sorted flat indices and feature rows), so building, merging
+and reading it cost what a frame touches, not the room; dense arrays are views.
+
+Clustering is connected components of the mutual k-nearest-neighbor graph
+built on the semantic block of each point vector (the trailing 3 entries are
+normalized coordinates and are excluded from distances: points sharing a
+voxel are already spatially co-located, so the graph separates points by what
+they are, not where they sit).
 
 Determinism rules, pinned so independent implementations agree bit-exactly:
 the neighbor set includes every point tied at the k-th smallest distance (so
@@ -86,31 +89,66 @@ class VoxelClusterConfig:
             raise ConfigError(f"unsupported metric {self.metric!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class VoxelGrid:
-    layout: GridLayout
-    features: np.ndarray  # X x Y x Z x (D+3); zero rows where invisible
-    visibility: np.ndarray  # X x Y x Z bool
+    """A layout's visible voxels. Built from dense arrays whose invisible voxels
+    hold +0.0 bits only, or by `from_rows` from sorted flat indices and rows.
+    `features` (+0.0 where invisible) and `visibility` are fresh read-only
+    X x Y x Z (x D+3) arrays on each access."""
 
-    def __post_init__(self):
-        feats = np.asarray(self.features, dtype=np.float64)
-        vis = np.asarray(self.visibility, dtype=bool)
-        if feats.shape[:3] != self.layout.dims or vis.shape != self.layout.dims:
+    layout: GridLayout
+    index: np.ndarray  # K int64 flat voxel indices, strictly increasing
+    rows: np.ndarray  # K x (D+3) features of those voxels
+
+    def __init__(self, layout: GridLayout, features, visibility):
+        feats = np.asarray(features, dtype=np.float64)
+        vis = np.asarray(visibility, dtype=bool)
+        if feats.ndim != 4 or feats.shape[:3] != layout.dims or vis.shape != layout.dims:
             raise ConfigError("grid array shapes do not match layout dims")
-        if vis.any() and not np.all(np.isfinite(feats[vis])):
-            raise ConfigError("visible voxel features must be finite")
-        if (~vis).any() and np.any(feats[~vis]):
+        flat_feats, flat_vis = feats.reshape(-1, feats.shape[3]), vis.reshape(-1)
+        if flat_feats[~flat_vis].view(np.uint64).any():
             raise ConfigError("invisible voxels must store exact zero features")
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "visibility", vis)
+        self._store(layout, np.flatnonzero(flat_vis), flat_feats[flat_vis])
+
+    @classmethod
+    def from_rows(cls, layout: GridLayout, index, rows) -> "VoxelGrid":
+        grid = cls.__new__(cls)
+        grid._store(layout, np.asarray(index, dtype=np.int64), np.asarray(rows, dtype=np.float64))
+        return grid
+
+    def _store(self, layout: GridLayout, index: np.ndarray, rows: np.ndarray) -> None:
+        if rows.ndim != 2 or index.shape != rows.shape[:1]:
+            raise ConfigError(f"{index.shape} voxel indices do not pair with {rows.shape} rows")
+        if index.size and (index[0] < 0 or index[-1] >= layout.n_voxels
+                           or np.any(index[1:] <= index[:-1])):
+            raise ConfigError("voxel indices must be strictly increasing within the layout")
+        if not np.all(np.isfinite(rows)):
+            raise ConfigError("visible voxel features must be finite")
+        object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def feature_dim(self) -> int:
-        return self.features.shape[3]
+        return self.rows.shape[1]
 
     @property
     def n_visible(self) -> int:
-        return int(self.visibility.sum())
+        return len(self.index)
+
+    @property
+    def features(self) -> np.ndarray:
+        dense = np.zeros((self.layout.n_voxels, self.feature_dim))
+        dense[self.index] = self.rows
+        dense.flags.writeable = False
+        return dense.reshape(self.layout.dims + (self.feature_dim,))
+
+    @property
+    def visibility(self) -> np.ndarray:
+        dense = np.zeros(self.layout.n_voxels, dtype=bool)
+        dense[self.index] = True
+        dense.flags.writeable = False
+        return dense.reshape(self.layout.dims)
 
 
 def grid_layout(points: np.ndarray, resolution: float, explicit_bounds=None) -> GridLayout:
@@ -292,7 +330,7 @@ def voxelize(
 
     `out_of_bounds` is "error" (raise, listing offenders) or "drop" (ignore
     points outside the layout; used when fusing frames into a frozen scene
-    grid). Voxels never touched stay exactly zero with visibility 0.
+    grid). Only touched voxels get a row; the dense views show others as 0.
     """
     positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
     vectors = np.asarray(vectors, dtype=np.float64)
@@ -303,10 +341,9 @@ def voxelize(
     n = positions.shape[0]
     dims = layout.dims
     feat_dim = vectors.shape[1] if n else 4
-    features = np.zeros(dims + (feat_dim,), dtype=np.float64)
-    visibility = np.zeros(dims, dtype=bool)
+    empty = VoxelGrid.from_rows(layout, np.zeros(0, dtype=np.int64), np.zeros((0, feat_dim)))
     if n == 0:
-        return VoxelGrid(layout, features, visibility)
+        return empty
 
     if out_of_bounds == "drop":
         idx_raw = np.floor((positions - layout.origin) / layout.resolution).astype(np.int64)
@@ -317,7 +354,7 @@ def voxelize(
         kept_ids = np.arange(n)
         idx = assign_voxels(positions, layout)
     if kept_ids.size == 0:
-        return VoxelGrid(layout, features, visibility)
+        return empty
 
     flat = (idx[:, 0] * dims[1] + idx[:, 1]) * dims[2] + idx[:, 2]
     order = np.argsort(flat, kind="stable")  # stable: members stay index-ascending
@@ -326,12 +363,10 @@ def voxelize(
     groups = np.split(kept_ids[order], boundaries)
     group_flats = flat_sorted[np.concatenate([[0], boundaries])]
 
-    flat_features = features.reshape(-1, feat_dim)
-    flat_vis = visibility.reshape(-1)
-    for members, f in zip(groups, group_flats):
-        flat_features[f] = _voxel_feature(vectors, members, cfg)
-        flat_vis[f] = True
-    return VoxelGrid(layout, features, visibility)
+    rows = np.empty((len(groups), feat_dim))
+    for row, members in zip(rows, groups):
+        row[:] = _voxel_feature(vectors, members, cfg)
+    return VoxelGrid.from_rows(layout, group_flats, rows)
 
 
 def count_outside_layout(positions: np.ndarray, layout: GridLayout) -> int:
@@ -346,6 +381,6 @@ def count_outside_layout(positions: np.ndarray, layout: GridLayout) -> int:
 
 def token_matrix(grid: VoxelGrid) -> tuple[np.ndarray, np.ndarray]:
     """One visual token per visible voxel, in lexicographic voxel order:
-    (K x 3 voxel indices, K x (D+3) features)."""
-    coords = np.argwhere(grid.visibility)  # argwhere is already lexicographic
-    return coords, grid.features[grid.visibility]
+    (K x 3 voxel indices, K x (D+3) features: the grid's own rows, not a copy)."""
+    coords = np.stack(np.unravel_index(grid.index, grid.layout.dims), axis=1)
+    return coords, grid.rows

@@ -12,6 +12,8 @@ on every pixel for every box, with no screen-window culling, so a culled
 renderer must match it byte for byte. `quadratic_split_heldout` is the
 held-out selection done the direct way: for each candidate, rebuild the set
 of answer words left in training and test the candidate's words against it.
+`dense_merge` is the masked scene update on dense arrays: a select that takes
+the frame's features where the frame sees, and the OR of the visibilities.
 """
 
 import math
@@ -171,3 +173,9 @@ def quadratic_split_heldout(scene_records, n_heldout, seed):
     for i in chosen:
         split[i] = "heldout"
     return split
+
+
+def dense_merge(scene_features, scene_visibility, frame_features, frame_visibility):
+    """The hard-mask merge on dense X x Y x Z (x D) arrays: (features, visibility)."""
+    features = np.where(frame_visibility[..., None], frame_features, scene_features)
+    return features, scene_visibility | frame_visibility

@@ -114,6 +114,67 @@ class TestMutatedFiles:
             self._assert_rejected(tmp_path, data + tail, "trailing")
 
 
+class TestBadGridFiles:
+    """A grid or scene file whose fields do not make a valid grid gives an
+    ArtifactFormatError naming the file."""
+
+    META = {"origin": [0.0, 0.0, 0.0], "resolution": 0.5, "dims": [2, 1, 1]}
+
+    def _arrays(self):
+        feats = np.zeros((2, 1, 1, 3))
+        feats[0, 0, 0] = [1.0, -0.0, 2.0]
+        return {"features": feats, "visibility": np.array([True, False]).reshape(2, 1, 1)}
+
+    def _assert_rejected(self, tmp_path, kind, meta, arrays, match):
+        path = tmp_path / f"bad-{kind}.bin"
+        save_artifact(path, kind, meta, arrays)
+        loader = load_grid if kind == "grid" else load_scene
+        with pytest.raises(ArtifactFormatError, match=match) as info:
+            loader(path)
+        assert str(path) in str(info.value)
+
+    def test_valid_payload_loads(self, tmp_path):
+        path = tmp_path / "ok.bin"
+        save_artifact(path, "scene", dict(self.META, t=3), self._arrays())
+        state = load_scene(path)
+        assert state.t == 3
+        assert state.grid.features.tobytes() == self._arrays()["features"].tobytes()
+
+    @pytest.mark.parametrize("key", ["origin", "resolution", "dims"])
+    def test_missing_meta_field(self, tmp_path, key):
+        meta = {k: v for k, v in self.META.items() if k != key}
+        self._assert_rejected(tmp_path, "grid", meta, self._arrays(), key)
+
+    def test_missing_visibility(self, tmp_path):
+        arrays = self._arrays()
+        del arrays["visibility"]
+        self._assert_rejected(tmp_path, "grid", self.META, arrays, "visibility")
+
+    def test_missing_scene_step(self, tmp_path):
+        self._assert_rejected(tmp_path, "scene", self.META, self._arrays(), "step t")
+
+    def test_bad_dims(self, tmp_path):
+        self._assert_rejected(tmp_path, "grid", dict(self.META, dims=[0, 1, 1]),
+                              self._arrays(), "dims")
+        self._assert_rejected(tmp_path, "grid", dict(self.META, dims=[1, 1, 1]),
+                              self._arrays(), "shapes")
+
+    def test_invisible_nonzero_voxel(self, tmp_path):
+        arrays = self._arrays()
+        arrays["features"][1, 0, 0, 1] = 5.0
+        self._assert_rejected(tmp_path, "scene", dict(self.META, t=0), arrays, "exact zero")
+
+    def test_float_visibility(self, tmp_path):
+        arrays = self._arrays()
+        arrays["visibility"] = arrays["visibility"].astype(np.float64)
+        self._assert_rejected(tmp_path, "grid", self.META, arrays, "not bool")
+
+    def test_negative_zero_in_invisible_voxel(self, tmp_path):
+        arrays = self._arrays()
+        arrays["features"][1, 0, 0, 2] = -0.0
+        self._assert_rejected(tmp_path, "grid", self.META, arrays, "exact zero")
+
+
 class TestTypedArtifacts:
     def test_frame_round_trip_bit_exact(self, sample, tmp_path):
         _, frame, _ = sample

@@ -16,7 +16,15 @@ from scenefusion.scene import (
     merge_frame_grid,
     update_scene,
 )
-from scenefusion.voxelizer import GridLayout, VoxelClusterConfig, VoxelGrid, voxelize
+from scenefusion.voxelizer import (
+    GridLayout,
+    VoxelClusterConfig,
+    VoxelGrid,
+    token_matrix,
+    voxelize,
+)
+
+from oracles import dense_merge
 
 CFG = VoxelClusterConfig(k=3)
 
@@ -205,6 +213,42 @@ class TestUpdateScene:
         # voxel 0 is unobserved and keeps its stored -0.0; voxel 1 takes the frame's -0.0
         expected = np.array([[-0.0, 1.0], [-0.0, 4.0]]).reshape(2, 1, 1, 2)
         assert merged.tobytes() == expected.tobytes()
+
+    def test_random_pairs_match_dense_merge_oracle(self):
+        # the sparse merge against a dense select: empty frames, full overlap,
+        # disjoint sets, one-voxel grids, and rows holding -0.0 and +0.0
+        rng = np.random.default_rng(12)
+        cases = ("random", "empty", "overlap", "disjoint", "one_voxel")
+        for trial in range(250):
+            case = cases[trial % len(cases)]
+            dims = (1, 1, 1) if case == "one_voxel" else tuple(rng.integers(1, 5, size=3))
+            d = int(rng.integers(1, 6))
+            layout = GridLayout(np.zeros(3), 0.5, dims)
+            scene_vis = rng.random(dims) < rng.random()
+            frame_vis = rng.random(dims) < rng.random()
+            if case == "empty":
+                frame_vis[:] = False
+            elif case == "overlap":
+                frame_vis = scene_vis.copy()
+            elif case == "disjoint":
+                frame_vis &= ~scene_vis
+            dense = []
+            for vis in (scene_vis, frame_vis):
+                feats = np.zeros(dims + (d,))
+                rows = rng.normal(size=(int(vis.sum()), d))
+                rows[rng.random(rows.shape) < 0.2] = -0.0
+                rows[rng.random(rows.shape) < 0.1] = 0.0
+                feats[vis] = rows
+                dense += [feats, vis]
+            want_f, want_v = dense_merge(*dense)
+            scene, frame = VoxelGrid(layout, *dense[:2]), VoxelGrid(layout, *dense[2:])
+            merged = merge_frame_grid(SceneState(scene, t=trial), frame)
+            assert merged.t == trial + 1
+            assert merged.grid.features.tobytes() == want_f.tobytes(), (trial, case)
+            assert merged.grid.visibility.tobytes() == want_v.tobytes(), (trial, case)
+            coords, rows = token_matrix(merged.grid)
+            assert coords.tobytes() == np.argwhere(want_v).tobytes(), (trial, case)
+            assert rows.tobytes() == want_f[want_v].tobytes(), (trial, case)
 
     def test_layout_mismatch_raises(self):
         _, state, new = self._setup(seed=9)

@@ -237,10 +237,10 @@ class TestVoxelize:
 
 
 class TestTokenMatrix:
-    def _grid(self, vis, d=4):
+    def _grid(self, vis, d=4, rows=None):
         dims = vis.shape
         feats = np.zeros(dims + (d,))
-        feats[vis] = 1.0
+        feats[vis] = 1.0 if rows is None else rows
         layout = GridLayout(np.zeros(3), 0.1, dims)
         return VoxelGrid(layout, feats, vis)
 
@@ -258,14 +258,21 @@ class TestTokenMatrix:
     def test_count_equals_popcount(self):
         rng = np.random.default_rng(9)
         vis = rng.random((5, 6, 7)) < 0.3
-        grid = self._grid(vis)
-        grid.features[vis] = rng.normal(size=(int(vis.sum()), 4))
-        coords, feats = token_matrix(grid)
+        dense = np.zeros(vis.shape + (4,))
+        dense[vis] = rng.normal(size=(int(vis.sum()), 4))
+        coords, feats = token_matrix(self._grid(vis, rows=dense[vis]))
         # independent popcount and per-voxel lookup, one entry at a time
         visible = [idx for idx in np.ndindex(vis.shape) if vis[idx]]
         assert len(coords) == len(feats) == len(visible)
         assert [tuple(c) for c in coords.tolist()] == visible
-        np.testing.assert_array_equal(feats, np.stack([grid.features[i] for i in visible]))
+        np.testing.assert_array_equal(feats, np.stack([dense[i] for i in visible]))
+        assert len(np.unique(feats)) == feats.size  # the rows are the random ones
+
+    def test_dense_views_are_read_only(self):
+        grid = self._grid(np.ones((1, 2, 1), dtype=bool))
+        for view in (grid.features, grid.visibility):
+            with pytest.raises(ValueError):
+                view[0, 0, 0] = 0
 
 
 def _fsum_means(rows):
@@ -320,11 +327,53 @@ class TestExactMean:
 
 
 class TestInvariants:
+    LAYOUT = GridLayout(np.zeros(3), 0.1, (2, 2, 2))
+
     def test_invisible_rows_must_be_zero(self):
         layout = GridLayout(np.zeros(3), 0.1, (1, 1, 1))
         feats = np.ones((1, 1, 1, 4))
         with pytest.raises(ConfigError):
             VoxelGrid(layout, feats, np.zeros((1, 1, 1), dtype=bool))
+
+    def test_invisible_negative_zero_rejected(self):
+        feats = np.zeros((2, 2, 2, 3))
+        feats[1, 0, 1, 2] = -0.0
+        with pytest.raises(ConfigError, match="exact zero"):
+            VoxelGrid(self.LAYOUT, feats, np.zeros((2, 2, 2), dtype=bool))
+
+    def test_from_rows_equals_dense_construction(self):
+        rows = np.array([[1.0, -0.0], [2.0, 3.0]])
+        grid = VoxelGrid.from_rows(self.LAYOUT, [1, 6], rows)
+        feats, vis = np.zeros((8, 2)), np.zeros(8, dtype=bool)
+        feats[[1, 6]], vis[[1, 6]] = rows, True
+        dense = VoxelGrid(self.LAYOUT, feats.reshape(2, 2, 2, 2), vis.reshape(2, 2, 2))
+        assert grid.features.tobytes() == feats.tobytes()
+        assert grid.index.tobytes() == dense.index.tobytes()
+        assert grid.rows.tobytes() == dense.rows.tobytes()
+        assert (grid.n_visible, grid.feature_dim) == (2, 2)
+
+    def _rejected(self, index, rows, match):
+        with pytest.raises(ConfigError, match=match):
+            VoxelGrid.from_rows(self.LAYOUT, np.array(index, dtype=np.int64), np.asarray(rows))
+
+    def test_from_rows_rejects_unsorted_index(self):
+        self._rejected([3, 1], np.ones((2, 4)), "strictly increasing")
+
+    def test_from_rows_rejects_duplicate_index(self):
+        self._rejected([1, 1], np.ones((2, 4)), "strictly increasing")
+
+    def test_from_rows_rejects_out_of_range_index(self):
+        self._rejected([0, 8], np.ones((2, 4)), "within the layout")
+        self._rejected([-1, 2], np.ones((2, 4)), "within the layout")
+
+    def test_from_rows_rejects_non_finite_row(self):
+        self._rejected([0, 5], [[1.0, 2.0], [np.nan, 0.0]], "finite")
+        self._rejected([0], [[np.inf, 2.0]], "finite")
+
+    def test_from_rows_rejects_length_mismatch_and_non_2d_rows(self):
+        self._rejected([0, 1, 2], np.ones((2, 4)), "do not pair")
+        self._rejected([0, 1], np.ones(2), "do not pair")
+        self._rejected([0, 1], np.ones((2, 4, 1)), "do not pair")
 
     def test_k_must_be_positive(self):
         with pytest.raises(ConfigError):
