@@ -19,7 +19,8 @@ from .voxelizer import (
     token_matrix,
     voxelize,
 )
-from .scene import SceneState, aggregate_frames, frame_to_grid, init_scene, update_scene
+from .scene import (SceneState, aggregate_frames, frame_to_grid, init_scene, points_to_grid,
+                    update_scene)
 from .align import (
     AlignmentModel,
     ModelConfig,
@@ -105,6 +106,7 @@ __all__ = [
     "parse_action",
     "plan_step",
     "point_feature_vector",
+    "points_to_grid",
     "project",
     "render",
     "run_episode",

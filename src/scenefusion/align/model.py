@@ -519,8 +519,7 @@ def forward_logits(model: AlignmentModel, seq: TokenSequence) -> np.ndarray:
     return state.logits[:t].copy()
 
 
-def generate(prefix: TokenSequence, model: AlignmentModel, max_len: int = 32,
-             decode: str = "greedy") -> str:
+def generate(prefix: TokenSequence, model: AlignmentModel, max_len: int = 32) -> str:
     """Greedily extend a prompt until <eos> or max_len new tokens.
 
     Ties break toward the lowest token id (argmax semantics). Returns the
@@ -528,8 +527,6 @@ def generate(prefix: TokenSequence, model: AlignmentModel, max_len: int = 32,
     `forward_logits` call on the whole sequence so far (see the module
     docstring for what it computes).
     """
-    if decode != "greedy":
-        raise ConfigError(f"unsupported decode mode {decode!r}")
     if prefix.loss_mask.any():
         raise ConfigError("generation prefix must end before the answer region")
     tokens = prefix.tokens.tolist()

@@ -28,12 +28,11 @@ from .datagen import (
     sequences_for,
 )
 from .errors import SceneFusionError
-from .frame import feature_vectors
 from .interact import Disturbance, GridBeliefPlanner, OraclePlanner, run_episode
 from .io_formats import (
     load_checkpoint,
     load_frame,
-    load_grid,
+    load_grid_or_scene,
     load_scene,
     save_artifact,
     save_checkpoint,
@@ -41,8 +40,8 @@ from .io_formats import (
     save_grid,
     save_scene,
 )
-from .scene import init_scene, update_scene
-from .voxelizer import VoxelClusterConfig, grid_layout, token_matrix, voxelize
+from .scene import init_scene, points_to_grid, update_scene
+from .voxelizer import VoxelClusterConfig, grid_layout, token_matrix
 from .worldsim import (
     WorldConfig,
     agent_camera,
@@ -133,26 +132,14 @@ def _cmd_scene_update(args) -> int:
 def _cmd_voxelize(args) -> int:
     frame = load_frame(args.frame_in)
     layout = grid_layout(frame.positions, args.r)
-    vectors = feature_vectors(frame.positions, frame.features, layout.box_min, layout.box_max)
-    grid = voxelize(frame.positions, vectors, layout, VoxelClusterConfig(k=args.k))
+    grid = points_to_grid(frame.positions, frame.features, layout, VoxelClusterConfig(k=args.k))
     save_grid(grid, args.out)
     print(f"grid {grid.layout.dims} with {grid.n_visible} visible voxels -> {args.out}")
     return 0
 
 
 def _cmd_tokens(args) -> int:
-    kind_loaders = (("grid", load_grid), ("scene", lambda p: load_scene(p).grid))
-    grid = None
-    last_err = None
-    for _, loader in kind_loaders:
-        try:
-            grid = loader(args.grid_in)
-            break
-        except SceneFusionError as exc:
-            last_err = exc
-    if grid is None:
-        raise last_err
-    coords, feats = token_matrix(grid)
+    coords, feats = token_matrix(load_grid_or_scene(args.grid_in))
     if args.out:
         save_artifact(args.out, "tokens", {"count": len(coords)},
                       {"coords": coords, "features": feats})
@@ -326,10 +313,7 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_pca_dump(args) -> int:
-    try:
-        grid = load_grid(args.grid_in)
-    except SceneFusionError:
-        grid = load_scene(args.grid_in).grid
+    grid = load_grid_or_scene(args.grid_in)
     coords, feats = token_matrix(grid)
     if len(coords) == 0:
         raise SceneFusionError("grid has no visible voxels to project")

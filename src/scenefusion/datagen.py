@@ -20,10 +20,10 @@ from .align.sequence import SEQ_KIND_FRAME, SEQ_KIND_SCENE, TokenSequence, assem
 from .align.vocab import Vocabulary, build_vocab
 from .config import config_from_dict
 from .errors import ArtifactFormatError, ConfigError, EmptyInputError
-from .frame import CAMERA_FRAME, WORLD_FRAME, Frame3D, build_frame, feature_vectors
+from .frame import CAMERA_FRAME, WORLD_FRAME, Frame3D, build_frame
 from .geometry import CameraIntrinsics, Pose
-from .scene import SceneState, init_scene
-from .voxelizer import VoxelClusterConfig, grid_layout, token_matrix, voxelize
+from .scene import SceneState, init_scene, points_to_grid
+from .voxelizer import VoxelClusterConfig, grid_layout, token_matrix
 from .worldsim import (
     RenderResult,
     WorldConfig,
@@ -65,9 +65,7 @@ def frame_tokens(frame: Frame3D, resolution: float, cfg: VoxelClusterConfig) -> 
     if frame.n_points == 0:
         return np.zeros((0, frame.feature_dim + 3))
     layout = grid_layout(frame.positions, resolution)
-    vectors = feature_vectors(frame.positions, frame.features, layout.box_min, layout.box_max)
-    grid = voxelize(frame.positions, vectors, layout, cfg)
-    _, tokens = token_matrix(grid)
+    _, tokens = token_matrix(points_to_grid(frame.positions, frame.features, layout, cfg))
     return tokens
 
 

@@ -94,44 +94,53 @@ def _read_text(f, n: int, what: str) -> str:
 
 
 def load_artifact(path) -> tuple[str, dict, dict[str, np.ndarray]]:
+    """(kind, meta, arrays) of a container file; ArtifactFormatError naming
+    the file when it is not a well-formed container."""
     with open(path, "rb") as f:
-        magic = _read_exact(f, 4, "magic")
-        if magic != MAGIC:
-            raise ArtifactFormatError(f"bad magic {magic!r}; not a scenefusion artifact")
-        (version,) = struct.unpack("<I", _read_exact(f, 4, "version"))
-        if version != VERSION:
-            raise ArtifactFormatError(f"unsupported artifact version {version} (want {VERSION})")
-        (kl,) = struct.unpack("<I", _read_exact(f, 4, "kind length"))
-        kind = _read_text(f, kl, "kind")
-        (ml,) = struct.unpack("<I", _read_exact(f, 4, "meta length"))
         try:
-            meta = json.loads(_read_text(f, ml, "metadata"))
-        except json.JSONDecodeError as exc:
-            raise ArtifactFormatError(f"corrupt metadata block: {exc}") from exc
-        (count,) = struct.unpack("<I", _read_exact(f, 4, "array count"))
-        arrays: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (nl,) = struct.unpack("<H", _read_exact(f, 2, "array name length"))
-            name = _read_text(f, nl, "array name")
-            (code,) = struct.unpack("<B", _read_exact(f, 1, "dtype code"))
-            if code not in _DTYPE_CODES:
-                raise ArtifactFormatError(f"unknown dtype code {code}")
-            (ndim,) = struct.unpack("<B", _read_exact(f, 1, "ndim"))
-            shape = tuple(
-                struct.unpack("<Q", _read_exact(f, 8, "shape"))[0] for _ in range(ndim)
+            return _read_container(f)
+        except ArtifactFormatError as exc:
+            raise ArtifactFormatError(f"{path}: {exc}") from None
+
+
+def _read_container(f) -> tuple[str, dict, dict[str, np.ndarray]]:
+    magic = _read_exact(f, 4, "magic")
+    if magic != MAGIC:
+        raise ArtifactFormatError(f"bad magic {magic!r}; not a scenefusion artifact")
+    (version,) = struct.unpack("<I", _read_exact(f, 4, "version"))
+    if version != VERSION:
+        raise ArtifactFormatError(f"unsupported artifact version {version} (want {VERSION})")
+    (kl,) = struct.unpack("<I", _read_exact(f, 4, "kind length"))
+    kind = _read_text(f, kl, "kind")
+    (ml,) = struct.unpack("<I", _read_exact(f, 4, "meta length"))
+    try:
+        meta = json.loads(_read_text(f, ml, "metadata"))
+    except json.JSONDecodeError as exc:
+        raise ArtifactFormatError(f"corrupt metadata block: {exc}") from exc
+    (count,) = struct.unpack("<I", _read_exact(f, 4, "array count"))
+    arrays: dict[str, np.ndarray] = {}
+    for _ in range(count):
+        (nl,) = struct.unpack("<H", _read_exact(f, 2, "array name length"))
+        name = _read_text(f, nl, "array name")
+        (code,) = struct.unpack("<B", _read_exact(f, 1, "dtype code"))
+        if code not in _DTYPE_CODES:
+            raise ArtifactFormatError(f"unknown dtype code {code}")
+        (ndim,) = struct.unpack("<B", _read_exact(f, 1, "ndim"))
+        shape = tuple(
+            struct.unpack("<Q", _read_exact(f, 8, "shape"))[0] for _ in range(ndim)
+        )
+        (nbytes,) = struct.unpack("<Q", _read_exact(f, 8, "byte length"))
+        dtype = np.dtype(_DTYPE_CODES[code])
+        if math.prod(shape) * dtype.itemsize != nbytes:
+            raise ArtifactFormatError(
+                f"array {name!r}: shape {shape} does not fit its {nbytes} data bytes"
             )
-            (nbytes,) = struct.unpack("<Q", _read_exact(f, 8, "byte length"))
-            dtype = np.dtype(_DTYPE_CODES[code])
-            if math.prod(shape) * dtype.itemsize != nbytes:
-                raise ArtifactFormatError(
-                    f"array {name!r}: shape {shape} does not fit its {nbytes} data bytes"
-                )
-            raw = _read_exact(f, nbytes, f"array {name!r} data")
-            arr = np.frombuffer(raw, dtype=dtype).reshape(shape)
-            arrays[name] = arr.astype(bool) if code == 2 else arr.copy()
-        if f.read(1):
-            raise ArtifactFormatError("trailing bytes after the last array")
-        return kind, meta, arrays
+        raw = _read_exact(f, nbytes, f"array {name!r} data")
+        arr = np.frombuffer(raw, dtype=dtype).reshape(shape)
+        arrays[name] = arr.astype(bool) if code == 2 else arr.copy()
+    if f.read(1):
+        raise ArtifactFormatError("trailing bytes after the last array")
+    return kind, meta, arrays
 
 
 # ---------------------------------------------------------------------------
@@ -209,13 +218,28 @@ def save_scene(state: SceneState, path) -> None:
     save_artifact(path, "scene", meta, arrays)
 
 
+def _scene_from_payload(path, meta: dict, arrays: dict) -> SceneState:
+    if not isinstance(meta.get("t"), int):
+        raise ArtifactFormatError(f"{path}: scene lacks an integer step t")
+    return SceneState(grid=_grid_from_payload(path, meta, arrays), t=meta["t"])
+
+
 def load_scene(path) -> SceneState:
     kind, meta, arrays = load_artifact(path)
     if kind != "scene":
         raise ArtifactFormatError(f"expected a scene artifact, got {kind!r}")
-    if not isinstance(meta.get("t"), int):
-        raise ArtifactFormatError(f"{path}: scene lacks an integer step t")
-    return SceneState(grid=_grid_from_payload(path, meta, arrays), t=meta["t"])
+    return _scene_from_payload(path, meta, arrays)
+
+
+def load_grid_or_scene(path) -> VoxelGrid:
+    """The voxel grid of a grid or a scene artifact. The file is read once,
+    and a bad payload fails with the error of the kind the file declares."""
+    kind, meta, arrays = load_artifact(path)
+    if kind == "scene":
+        return _scene_from_payload(path, meta, arrays).grid
+    if kind != "grid":
+        raise ArtifactFormatError(f"{path}: expected a grid or scene artifact, got {kind!r}")
+    return _grid_from_payload(path, meta, arrays)
 
 
 def save_checkpoint(model: AlignmentModel, path, extra_meta: dict | None = None) -> None:

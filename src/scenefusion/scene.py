@@ -19,31 +19,21 @@ something is observed in that voxel again.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, EmptyInputError
 from .frame import Frame3D, feature_vectors
-from .voxelizer import (
-    GridLayout,
-    VoxelClusterConfig,
-    VoxelGrid,
-    count_outside_layout,
-    grid_layout,
-    voxelize,
-)
+from .voxelizer import GridLayout, VoxelClusterConfig, VoxelGrid, grid_layout, voxelize
 
 
 @dataclass(frozen=True)
 class AggregatePoints:
-    """World-frame union of frames: positions, raw features, and data bounds."""
+    """World-frame union of frames: positions and raw features."""
 
     positions: np.ndarray  # N x 3
     features: np.ndarray  # N x D
-    bounds_min: np.ndarray
-    bounds_max: np.ndarray
 
     @property
     def n_points(self) -> int:
@@ -75,18 +65,18 @@ def aggregate_frames(frames: list[Frame3D]) -> AggregatePoints:
     features = np.concatenate([f.features for f in frames], axis=0)
     if positions.shape[0] == 0:
         raise EmptyInputError("aggregate_frames: frames contain no points")
-    return AggregatePoints(
-        positions=positions,
-        features=features,
-        bounds_min=positions.min(axis=0),
-        bounds_max=positions.max(axis=0),
-    )
+    return AggregatePoints(positions=positions, features=features)
 
 
-def _layout_vectors(positions: np.ndarray, features: np.ndarray, layout: GridLayout) -> np.ndarray:
-    # Positions normalize against the layout box (not the raw data bounds) so
-    # that init-time and update-time vectors for the same point are identical.
-    return feature_vectors(positions, features, layout.box_min, layout.box_max)
+def points_to_grid(positions: np.ndarray, features: np.ndarray, layout: GridLayout,
+                   cfg: VoxelClusterConfig) -> VoxelGrid:
+    """Voxelize raw points into `layout`: each point's vector is its features
+    followed by its position normalized against the layout box (not the data
+    bounds), so init-time and update-time vectors of one point are identical.
+    Points outside the layout are dropped with one counted warning (`voxelize`).
+    """
+    vectors = feature_vectors(positions, features, layout.box_min, layout.box_max)
+    return voxelize(positions, vectors, layout, cfg)
 
 
 def init_scene(
@@ -95,16 +85,11 @@ def init_scene(
     cfg: VoxelClusterConfig,
     explicit_bounds=None,
 ) -> SceneState:
-    """Aggregate frames, freeze the layout over their bounds, and voxelize."""
+    """Aggregate frames, freeze the layout over their bounds (or the explicit
+    bounds), and voxelize."""
     agg = aggregate_frames(frames)
-    if explicit_bounds is not None:
-        layout = grid_layout(None, resolution, explicit_bounds=explicit_bounds)
-    else:
-        layout = grid_layout(agg.positions, resolution)
-    vectors = _layout_vectors(agg.positions, agg.features, layout)
-    oob = "drop" if explicit_bounds is not None else "error"
-    grid = voxelize(agg.positions, vectors, layout, cfg, out_of_bounds=oob)
-    return SceneState(grid=grid, t=0)
+    layout = grid_layout(agg.positions, resolution, explicit_bounds)
+    return SceneState(grid=points_to_grid(agg.positions, agg.features, layout, cfg), t=0)
 
 
 def frame_to_grid(
@@ -115,19 +100,12 @@ def frame_to_grid(
     """Voxelize one frame into the scene's frozen layout.
 
     Frame points outside the layout are dropped with a counted warning; the
-    masked merge requires the frame grid and scene grid to share a shape, so
+    masked merge requires the frame grid and scene grid to share a layout, so
     the layout never grows.
     """
     if frame.coord_frame != "world":
         raise ConfigError("frame_to_grid needs a world-frame Frame3D (convert first)")
-    n_out = count_outside_layout(frame.positions, layout)
-    if n_out:
-        warnings.warn(
-            f"frame_to_grid: dropped {n_out} of {frame.n_points} points outside scene layout",
-            stacklevel=2,
-        )
-    vectors = _layout_vectors(frame.positions, frame.features, layout)
-    return voxelize(frame.positions, vectors, layout, cfg, out_of_bounds="drop")
+    return points_to_grid(frame.positions, frame.features, layout, cfg)
 
 
 def update_scene(
@@ -146,7 +124,10 @@ def update_scene(
 
 def merge_frame_grid(state: SceneState, frame_grid: VoxelGrid) -> SceneState:
     """Apply the hard-mask merge given an already-voxelized frame grid."""
-    if frame_grid.layout.dims != state.layout.dims or frame_grid.feature_dim != state.grid.feature_dim:
+    ours, theirs = state.layout, frame_grid.layout
+    if (theirs.dims != ours.dims or theirs.resolution != ours.resolution
+            or theirs.origin.tobytes() != ours.origin.tobytes()
+            or frame_grid.feature_dim != state.grid.feature_dim):
         raise ConfigError("frame grid layout/feature dim does not match scene grid")
     index = np.union1d(state.grid.index, frame_grid.index)
     rows = np.empty((len(index), frame_grid.feature_dim))

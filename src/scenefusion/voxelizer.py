@@ -37,6 +37,7 @@ with a few objects' rows over hundreds of points then costs O(u^2), not O(M^2).
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +76,13 @@ class GridLayout:
     def n_voxels(self) -> int:
         x, y, z = self.dims
         return x * y * z
+
+    def locate(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each point's voxel index triple floor((p - origin)/r), and whether
+        that voxel lies in the grid (0 <= idx < dims on every axis)."""
+        pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+        idx = np.floor((pts - self.origin) / self.resolution).astype(np.int64)
+        return idx, np.all((idx >= 0) & (idx < self.dims), axis=1)
 
 
 @dataclass(frozen=True)
@@ -151,13 +159,22 @@ class VoxelGrid:
         return dense.reshape(self.layout.dims)
 
 
+def _snap_down(lo: np.ndarray, r: float) -> np.ndarray:
+    """The largest multiple of r at or below lo: floor(lo/r)*r can round above lo."""
+    n = np.floor(lo / r)
+    return (n - (n * r > lo)) * r
+
+
 def grid_layout(points: np.ndarray, resolution: float, explicit_bounds=None) -> GridLayout:
     """Lay out a grid of half-open voxels [origin + i*r, origin + (i+1)*r).
 
-    The origin snaps down to a multiple of the resolution. With auto bounds the
-    dims are floor((max - origin)/r) + 1 per axis, which matches
-    ceil((max - origin)/r) except when the span is an exact multiple of r;
-    the extra voxel there keeps the max point inside the half-open range.
+    The origin is the largest multiple of the resolution at or below the
+    minimum. With auto bounds the dims are floor((max - origin)/r) + 1 per
+    axis, which matches ceil((max - origin)/r) except when the span is an
+    exact multiple of r; the extra voxel there keeps the max point inside the
+    half-open range. An auto layout therefore contains every point it was
+    built from: `locate` reports all of them inside. Explicit bounds keep
+    [min, max) on each axis, so points at the max may fall outside.
     """
     if resolution <= 0:
         raise ConfigError(f"resolution must be positive, got {resolution}")
@@ -167,29 +184,26 @@ def grid_layout(points: np.ndarray, resolution: float, explicit_bounds=None) -> 
         box_max = np.asarray(explicit_bounds[1], dtype=np.float64).reshape(3)
         if np.any(box_max < box_min):
             raise ConfigError("explicit bounds have max < min")
-        origin = np.floor(box_min / r) * r
+        origin = _snap_down(box_min, r)
         dims = np.maximum(np.ceil((box_max - origin) / r).astype(np.int64), 1)
         return GridLayout(origin, r, tuple(dims))
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     if pts.shape[0] == 0:
         raise EmptyInputError("grid_layout needs points or explicit bounds")
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    origin = np.floor(lo / r) * r
-    dims = np.floor((hi - origin) / r).astype(np.int64) + 1
-    return GridLayout(origin, r, tuple(dims))
+    origin = _snap_down(pts.min(axis=0), r)
+    # the max point's own cell, by the rule every later placement uses
+    top, _ = GridLayout(origin, r, (1, 1, 1)).locate(pts.max(axis=0))
+    return GridLayout(origin, r, tuple(top[0] + 1))
 
 
 def assign_voxels(points: np.ndarray, layout: GridLayout) -> np.ndarray:
-    """Map each point to its voxel index triple: floor((p - origin)/r) per axis.
+    """Map each point to its voxel index triple (`GridLayout.locate`).
 
     Raises OutOfBoundsError listing offending point indices when a point lands
     outside the grid.
     """
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    idx = np.floor((pts - layout.origin) / layout.resolution).astype(np.int64)
-    dims = np.array(layout.dims, dtype=np.int64)
-    bad = np.nonzero(np.any((idx < 0) | (idx >= dims), axis=1))[0]
+    idx, inside = layout.locate(points)
+    bad = np.flatnonzero(~inside)
     if bad.size:
         head = ", ".join(str(i) for i in bad[:10])
         more = f" (+{bad.size - 10} more)" if bad.size > 10 else ""
@@ -324,37 +338,29 @@ def voxelize(
     vectors: np.ndarray,
     layout: GridLayout,
     cfg: VoxelClusterConfig,
-    out_of_bounds: str = "error",
 ) -> VoxelGrid:
     """Build the feature grid: per occupied voxel, mean of the largest cluster.
 
-    `out_of_bounds` is "error" (raise, listing offenders) or "drop" (ignore
-    points outside the layout; used when fusing frames into a frozen scene
-    grid). Only touched voxels get a row; the dense views show others as 0.
+    Points outside the layout are dropped with one UserWarning counting them
+    ("dropped N of M points outside the grid layout"); the layout never grows,
+    so a frame fused into a frozen scene grid keeps the scene's shape. Only
+    touched voxels get a row; the dense views show others as 0.
     """
     positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.shape[0] != positions.shape[0]:
         raise ConfigError("positions and point vectors disagree on count")
-    if out_of_bounds not in ("error", "drop"):
-        raise ConfigError(f"out_of_bounds must be 'error' or 'drop', got {out_of_bounds!r}")
     n = positions.shape[0]
     dims = layout.dims
     feat_dim = vectors.shape[1] if n else 4
-    empty = VoxelGrid.from_rows(layout, np.zeros(0, dtype=np.int64), np.zeros((0, feat_dim)))
-    if n == 0:
-        return empty
-
-    if out_of_bounds == "drop":
-        idx_raw = np.floor((positions - layout.origin) / layout.resolution).astype(np.int64)
-        keep = np.all((idx_raw >= 0) & (idx_raw < np.array(dims)), axis=1)
-        kept_ids = np.nonzero(keep)[0]
-        idx = idx_raw[keep]
-    else:
-        kept_ids = np.arange(n)
-        idx = assign_voxels(positions, layout)
+    idx, inside = layout.locate(positions)
+    kept_ids = np.flatnonzero(inside)
+    if kept_ids.size < n:
+        warnings.warn(f"dropped {n - kept_ids.size} of {n} points outside the grid layout",
+                      stacklevel=2)
+        idx = idx[kept_ids]
     if kept_ids.size == 0:
-        return empty
+        return VoxelGrid.from_rows(layout, np.zeros(0, dtype=np.int64), np.zeros((0, feat_dim)))
 
     flat = (idx[:, 0] * dims[1] + idx[:, 1]) * dims[2] + idx[:, 2]
     order = np.argsort(flat, kind="stable")  # stable: members stay index-ascending
@@ -367,16 +373,6 @@ def voxelize(
     for row, members in zip(rows, groups):
         row[:] = _voxel_feature(vectors, members, cfg)
     return VoxelGrid.from_rows(layout, group_flats, rows)
-
-
-def count_outside_layout(positions: np.ndarray, layout: GridLayout) -> int:
-    """How many points fall outside the layout's half-open voxel range."""
-    positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
-    if positions.shape[0] == 0:
-        return 0
-    idx = np.floor((positions - layout.origin) / layout.resolution).astype(np.int64)
-    keep = np.all((idx >= 0) & (idx < np.array(layout.dims)), axis=1)
-    return int(positions.shape[0] - keep.sum())
 
 
 def token_matrix(grid: VoxelGrid) -> tuple[np.ndarray, np.ndarray]:

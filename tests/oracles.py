@@ -26,7 +26,12 @@ from scenefusion.worldsim import COLOR_TABLE
 def brute_layout(points, r):
     lo = points.min(axis=0)
     hi = points.max(axis=0)
-    origin = np.floor(lo / r) * r
+    origin = np.empty(3)
+    for a in range(3):  # the largest multiple of r at or below lo
+        n = math.floor(lo[a] / r)
+        while n * r > lo[a]:
+            n -= 1
+        origin[a] = n * r
     dims = tuple(int(np.floor((hi[a] - origin[a]) / r)) + 1 for a in range(3))
     return origin, dims
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from scenefusion.cli import main
-from scenefusion.io_formats import load_artifact, load_grid
+from scenefusion.io_formats import load_artifact, load_grid, save_artifact
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +96,39 @@ class TestExitCodes:
         rc = main(["tokens", "--in", str(bad)])
         assert rc == 1
         assert "error: ArtifactFormatError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["tokens"], ["pca", "dump"]])
+    def test_bad_grid_payload_reports_the_grid_error(self, tmp_path, capsys, command):
+        feats = np.zeros((2, 1, 1, 4))
+        feats[1, 0, 0, 0] = 1.0  # a nonzero invisible voxel
+        bad = tmp_path / "bad-grid.bin"
+        save_artifact(bad, "grid", {"origin": [0.0, 0.0, 0.0], "resolution": 0.5,
+                                    "dims": [2, 1, 1]},
+                      {"features": feats, "visibility": np.array([True, False]).reshape(2, 1, 1)})
+        assert main(command + ["--in", str(bad), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ArtifactFormatError: {bad}: bad grid")
+        assert "invisible voxels must store exact zero features" in err
+
+    @pytest.mark.parametrize("command", [["tokens"], ["pca", "dump"]])
+    def test_truncated_grid_error_names_the_file(self, world_file, tmp_path, capsys, command):
+        frame_out, grid_out = tmp_path / "f.bin", tmp_path / "g.bin"
+        main(["frame", "build", "--world", str(world_file), "--out", str(frame_out)])
+        main(["voxelize", "--in", str(frame_out), "--r", "0.25", "--out", str(grid_out)])
+        data = grid_out.read_bytes()
+        grid_out.write_bytes(data[: len(data) // 2])
+        capsys.readouterr()
+        assert main(command + ["--in", str(grid_out), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: ArtifactFormatError: {grid_out}: "
+            "truncated artifact file while reading array 'features' data\n")
+
+    def test_wrong_kind_names_grid_and_scene(self, world_file, tmp_path, capsys):
+        frame_out = tmp_path / "f.bin"
+        main(["frame", "build", "--world", str(world_file), "--out", str(frame_out)])
+        capsys.readouterr()
+        assert main(["tokens", "--in", str(frame_out)]) == 1
+        assert "expected a grid or scene artifact, got 'frame'" in capsys.readouterr().err
 
 
 class TestEpisodeCommand:

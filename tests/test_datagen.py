@@ -3,6 +3,7 @@ directory reconstruction."""
 
 import hashlib
 import json
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -20,11 +21,14 @@ from scenefusion.datagen import (
     build_dataset_dir,
     corpus_vocab,
     frame_caption,
+    frame_tokens,
     load_dataset_dir,
     record_sequence,
     scene_from_world,
     world_records,
 )
+from scenefusion.frame import CAMERA_FRAME, Frame3D
+from scenefusion.geometry import Pose
 from scenefusion.voxelizer import VoxelClusterConfig
 from scenefusion.worldsim import WorldConfig, capture_views, gen_world, render
 
@@ -145,6 +149,21 @@ class TestDatagenConfigRoundTrip:
         d["scene_variant"] = 0
         with pytest.raises(ConfigError, match="scene_variant"):
             config_from_dict(DatagenConfig, d)
+
+
+class TestFrameTokens:
+    def test_camera_frame_whose_minimum_sits_on_the_lattice(self):
+        # fl(floor(-0.9 / 0.18) * 0.18) > -0.9: a layout snapped that way
+        # would leave the frame's own minimum point outside the grid
+        rng = np.random.default_rng(4)
+        positions = rng.uniform(-0.9, 0.7, size=(60, 3)) + [0.0, 0.0, 1.5]
+        positions[7, 0] = -0.9
+        frame = Frame3D(positions, np.zeros((60, 3)), rng.normal(size=(60, 4)),
+                        Pose.identity(), CAMERA_FRAME, np.arange(60))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tokens = frame_tokens(frame, 0.18, VoxelClusterConfig(k=3))
+        assert tokens.shape[1] == 7 and len(tokens) > 0
 
 
 class TestSceneFromWorld:

@@ -79,6 +79,27 @@ class TestContainer:
                 load_artifact(trunc)
 
 
+class TestContainerErrorsNameTheFile:
+    def test_each_container_error_names_the_path(self, tmp_path):
+        ok = tmp_path / "ok.bin"
+        save_artifact(ok, "grid", {"n": 1}, {"ab": np.arange(6.0).reshape(2, 3)})
+        data = ok.read_bytes()
+        shape_at = data.index(struct.pack("<QQ", 2, 3))
+        cases = {
+            "magic": b"NOPE" + data[4:],
+            "version": MAGIC + (9).to_bytes(4, "little") + data[8:],
+            "truncated": data[:-5],
+            "shape": data[:shape_at] + struct.pack("<QQ", 3, 3) + data[shape_at + 16:],
+            "trailing": data + b"\x00",
+        }
+        for match, mutated in cases.items():
+            path = tmp_path / f"{match}.bin"
+            path.write_bytes(mutated)
+            with pytest.raises(ArtifactFormatError, match=match) as info:
+                load_artifact(path)
+            assert str(info.value).startswith(f"{path}: "), match
+
+
 class TestMutatedFiles:
     """Each header field that can lie about the data gives a format error."""
 

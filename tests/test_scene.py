@@ -89,6 +89,12 @@ class TestInitScene:
         np.testing.assert_array_equal(state.grid.features, expected.features)
         np.testing.assert_array_equal(state.grid.visibility, expected.visibility)
 
+    def test_explicit_bounds_drop_outside_points_with_a_warning(self):
+        f = _frame([[0.1, 0.1, 0.1], [0.6, 0.2, 0.3], [2.0, 0.1, 0.1]])
+        with pytest.warns(UserWarning, match="dropped 1 of 3 points outside the grid layout"):
+            state = init_scene([f], 0.25, CFG, explicit_bounds=([0, 0, 0], [1, 1, 1]))
+        assert state.layout.dims == (4, 4, 4) and state.grid.n_visible == 2
+
     def test_empty_frame_list_raises(self):
         with pytest.raises(EmptyInputError):
             init_scene([], 0.25, CFG)
@@ -255,6 +261,15 @@ class TestUpdateScene:
         other = init_scene([_frame([[0.0, 0.0, 0.0], [3.0, 3.0, 3.0]])], 0.5, CFG)
         with pytest.raises(ConfigError):
             merge_frame_grid(state, other.grid)
+
+    @pytest.mark.parametrize("origin, r", [((5.0, 5.0, 5.0), 0.25), ((0.0, 0.0, 0.0), 0.25),
+                                           ((0.5, 0.0, 0.0), 0.5)])
+    def test_same_dims_other_origin_or_resolution_raises(self, origin, r):
+        scene_layout = GridLayout(np.zeros(3), 0.5, (2, 1, 1))
+        state = SceneState(VoxelGrid.from_rows(scene_layout, [0], [[1.0, 0.0, 0.0, 0.0]]))
+        frame = VoxelGrid.from_rows(GridLayout(origin, r, (2, 1, 1)), [1], [[2.0, 0.0, 0.0, 0.0]])
+        with pytest.raises(ConfigError):
+            merge_frame_grid(state, frame)
 
 
 class TestSimulatorScenes:

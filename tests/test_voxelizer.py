@@ -18,6 +18,7 @@ from scenefusion.voxelizer import (
     token_matrix,
     voxelize,
 )
+from scenefusion.scene import points_to_grid
 
 from oracles import brute_assign, brute_clusters, brute_layout, brute_voxelize
 
@@ -63,6 +64,33 @@ class TestGridLayout:
         layout = grid_layout(None, 0.5, explicit_bounds=([0.1, 0.1, 0.1], [0.9, 0.9, 0.9]))
         np.testing.assert_array_equal(layout.origin, [0.0, 0.0, 0.0])
         assert layout.dims == (2, 2, 2)
+
+    @pytest.mark.parametrize("lo, r", [(-1.8, 0.18), (-0.9, 0.18), (-0.45, 0.09), (-2.97, 0.09)])
+    def test_contains_minimum_where_floor_times_r_rounds_above_it(self, lo, r):
+        # fl(floor(lo/r) * r) > lo for these: the naive origin leaves lo out
+        assert np.floor(lo / r) * r > lo
+        pts = np.array([[lo, lo, lo], [lo + 1.0, 0.3, lo + 0.05]])
+        layout = grid_layout(pts, r)
+        assert layout.locate(pts)[1].all()
+        assign_voxels(pts, layout)  # must not raise
+        bounded = grid_layout(None, r, explicit_bounds=(pts[0], pts[0] + 1.0))
+        assert bounded.locate(pts[:1])[1].all()
+        assert np.all(bounded.origin <= pts[0])
+
+    def test_auto_layout_contains_its_points_on_random_boxes(self):
+        rng = np.random.default_rng(42)
+        resolutions = np.array([0.05, 0.09, 0.1, 0.12, 0.18, 0.2, 0.25, 0.3])
+        for trial in range(10_000):
+            r = float(rng.choice(resolutions))
+            lo = rng.uniform(-5.0, 5.0, size=3)
+            # lattice-aligned minima are the ones the rounding can miss
+            if trial % 2:
+                lo = np.round(lo / r) * r
+            pts = lo + rng.uniform(0.0, 2.0, size=(4, 3)) * rng.integers(0, 2, size=(4, 3))
+            layout = grid_layout(pts, r)
+            assert layout.locate(pts)[1].all(), (trial, r, pts.min(axis=0))
+            bounded = grid_layout(None, r, explicit_bounds=(pts.min(axis=0), pts.max(axis=0)))
+            assert np.all(bounded.origin <= pts.min(axis=0)), (trial, r)
 
 
 class TestAssignVoxels:
@@ -228,12 +256,28 @@ class TestVoxelize:
                               VoxelClusterConfig(k=3))
             assert coarse.n_visible <= fine.n_visible
 
-    def test_drop_mode_ignores_outside_points(self):
+    def test_points_to_grid_drops_outside_points(self):
         layout = GridLayout(np.zeros(3), 0.5, (1, 1, 1))
         positions = np.array([[0.2, 0.2, 0.2], [5.0, 5.0, 5.0]])
-        vectors = np.ones((2, 7))
-        grid = voxelize(positions, vectors, layout, VoxelClusterConfig(), out_of_bounds="drop")
+        with pytest.warns(UserWarning, match="dropped 1 of 2 points outside the grid layout"):
+            grid = points_to_grid(positions, np.ones((2, 4)), layout, VoxelClusterConfig())
         assert grid.n_visible == 1
+        assert grid.feature_dim == 7
+
+    def test_dropping_outside_points_keeps_the_inside_grid_bits(self):
+        rng = np.random.default_rng(12)
+        for trial in range(10):
+            positions, vectors = _vectors(rng, int(rng.integers(40, 300)), spread=2.0)
+            layout = grid_layout(None, 0.25, explicit_bounds=([0.4, 0.3, 0.5], [1.6, 1.5, 1.4]))
+            inside = layout.locate(positions)[1]
+            assert 0 < inside.sum() < len(positions)
+            with pytest.warns(UserWarning) as record:
+                every = voxelize(positions, vectors, layout, VoxelClusterConfig(k=3))
+            assert [str(w.message) for w in record] == [
+                f"dropped {(~inside).sum()} of {len(positions)} points outside the grid layout"]
+            only = voxelize(positions[inside], vectors[inside], layout, VoxelClusterConfig(k=3))
+            assert every.index.tobytes() == only.index.tobytes(), trial
+            assert every.rows.tobytes() == only.rows.tobytes(), trial
 
 
 class TestTokenMatrix:
