@@ -19,6 +19,16 @@ The answer loss at position i reads the logits at position i-1, so only
 masked positions (answer tokens and <eos>) contribute. Per-sequence mean
 over masked tokens, then mean over the batch.
 
+Backward, in two halves. The activation-gradient chain always runs: head ->
+ln_f -> every layer in reverse -> dx at the visual slots -> the projection's
+backward. The weight-gradient half (head, ln_f, each layer's LN, attention,
+MLP and relative bias, pos, embed) runs only when a trainable prefix covers
+an lm.* parameter, so a stage-1 step, which trains the projection alone,
+skips every lm.* weight-gradient matmul. Each MLP keeps its GELU's erf term
+from the forward pass for the backward. Both halves do the operations of a
+single all-gradients pass on the same operands, so every gradient bit, and
+with it every checkpoint, is the same whichever stage asks.
+
 Decoding: `generate` runs the prompt through the model once, keeping each
 layer's keys and values. Every later `forward_logits` call on the sequence
 `generate` built computes one new row per layer against those keys and
@@ -36,7 +46,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..errors import ConfigError
-from .projector import gelu, gelu_grad, init_projection_params, project, project_backward
+from .projector import (
+    gelu_grad_from_term,
+    gelu_with_term,
+    init_projection_params,
+    project,
+    project_backward,
+)
 from .sequence import VISUAL_SLOT, TokenSequence
 from .vocab import Vocabulary
 
@@ -227,17 +243,23 @@ def _ln_forward(x, g, b):
 
 
 def _ln_backward(dout, g, cache):
+    """Input gradient of `_ln_forward` (means as there: sum / n)."""
     xhat, rstd = cache
-    axes = tuple(range(dout.ndim - 1))
-    dg = np.sum(dout * xhat, axis=axes)
-    db = np.sum(dout, axis=axes)
+    n = dout.shape[-1]
     dxhat = dout * g
     dx = rstd * (
         dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * np.mean(dxhat * xhat, axis=-1, keepdims=True)
+        - np.add.reduce(dxhat, axis=-1, keepdims=True) / n
+        - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / n)
     )
-    return dx, dg, db
+    return dx
+
+
+def _ln_param_grads(dout, cache):
+    """Gradients of `_ln_forward`'s gain and bias."""
+    xhat, _ = cache
+    axes = tuple(range(dout.ndim - 1))
+    return np.sum(dout * xhat, axis=axes), np.sum(dout, axis=axes)
 
 
 def _split_heads(x, n_heads):
@@ -275,7 +297,7 @@ def _forward(params, cfg: ModelConfig, batch: PackedBatch, want_cache: bool,
     x = x + params["lm.pos"][t0:t]
 
     offset = np.subtract.outer(np.arange(t0, t), np.arange(t))
-    causal = offset >= 0
+    future = offset < 0
     dist = np.maximum(offset, 0)
     scale = 1.0 / np.sqrt(cfg.head_dim)
     layer_caches = []
@@ -291,22 +313,25 @@ def _forward(params, cfg: ModelConfig, batch: PackedBatch, want_cache: bool,
             if t0:
                 k = past.keys[l][:, :, :t]
                 v = past.values[l][:, :, :t]
-        scores = (q @ k.transpose(0, 1, 3, 2)) * scale + params[p + "attn.rel"][:, dist]
-        scores = np.where(causal, scores, -np.inf)
-        m = scores.max(axis=-1, keepdims=True)
-        e = np.exp(scores - m)
-        att = e / e.sum(axis=-1, keepdims=True)
+        # scores, then the causal mask and the softmax, all in place
+        att = q @ k.transpose(0, 1, 3, 2)
+        att *= scale
+        att += params[p + "attn.rel"][:, dist]
+        np.copyto(att, -np.inf, where=future)
+        att -= att.max(axis=-1, keepdims=True)
+        np.exp(att, out=att)
+        att /= att.sum(axis=-1, keepdims=True)
         ctx = _merge_heads(att @ v)
         attn_out = ctx @ params[p + "attn.wo"] + params[p + "attn.bo"]
         x_mid = x + attn_out
         a2, ln2_cache = _ln_forward(x_mid, params[p + "ln2.g"], params[p + "ln2.b"])
         h1 = a2 @ params[p + "mlp.w1"] + params[p + "mlp.b1"]
-        hg = gelu(h1)
+        hg, erf_h1 = gelu_with_term(h1)
         x = x_mid + hg @ params[p + "mlp.w2"] + params[p + "mlp.b2"]
         if want_cache:
             layer_caches.append(
                 dict(a=a, ln1=ln1_cache, q=q, k=k, v=v, att=att, ctx=ctx,
-                     a2=a2, ln2=ln2_cache, h1=h1, hg=hg)
+                     a2=a2, ln2=ln2_cache, h1=h1, erf_h1=erf_h1, hg=hg)
             )
     xf, lnf_cache = _ln_forward(x, params["lm.ln_f.g"], params["lm.ln_f.b"])
     logits = xf @ params["lm.head.w"] + params["lm.head.b"]
@@ -350,7 +375,10 @@ def _loss_backward_into_dlogits(logits_shape, filler):
     return dlogits
 
 
-def _backward(params, cfg: ModelConfig, batch: PackedBatch, cache, dlogits):
+def _backward(params, cfg: ModelConfig, batch: PackedBatch, cache, dlogits, lm_weights: bool):
+    """Gradients of the loss: the projection's always, the lm.* ones only
+    when `lm_weights`. The `if lm_weights:` blocks are the weight-gradient
+    half (module docstring); the rest is the activation-gradient chain."""
     grads = {}
     xf = cache["xf"]
     b, t, _ = xf.shape
@@ -358,12 +386,13 @@ def _backward(params, cfg: ModelConfig, batch: PackedBatch, cache, dlogits):
     def flat(arr):
         return arr.reshape(b * t, -1)
 
-    grads["lm.head.w"] = flat(xf).T @ flat(dlogits)
-    grads["lm.head.b"] = dlogits.sum(axis=(0, 1))
+    if lm_weights:
+        grads["lm.head.w"] = flat(xf).T @ flat(dlogits)
+        grads["lm.head.b"] = dlogits.sum(axis=(0, 1))
     dxf = dlogits @ params["lm.head.w"].T
-    dx, dgf, dbf = _ln_backward(dxf, params["lm.ln_f.g"], cache["lnf"])
-    grads["lm.ln_f.g"] = dgf
-    grads["lm.ln_f.b"] = dbf
+    dx = _ln_backward(dxf, params["lm.ln_f.g"], cache["lnf"])
+    if lm_weights:
+        grads["lm.ln_f.g"], grads["lm.ln_f.b"] = _ln_param_grads(dxf, cache["lnf"])
 
     scale = 1.0 / np.sqrt(cfg.head_dim)
     dist = np.maximum(np.subtract.outer(np.arange(t), np.arange(t)), 0)
@@ -372,53 +401,52 @@ def _backward(params, cfg: ModelConfig, batch: PackedBatch, cache, dlogits):
         c = cache["layers"][l]
         # MLP block: x = x_mid + gelu(a2 @ w1 + b1) @ w2 + b2
         dm = dx
-        grads[p + "mlp.w2"] = flat(c["hg"]).T @ flat(dm)
-        grads[p + "mlp.b2"] = dm.sum(axis=(0, 1))
-        dhg = dm @ params[p + "mlp.w2"].T
-        dh1 = dhg * gelu_grad(c["h1"])
-        grads[p + "mlp.w1"] = flat(c["a2"]).T @ flat(dh1)
-        grads[p + "mlp.b1"] = dh1.sum(axis=(0, 1))
+        dh1 = gelu_grad_from_term(c["h1"], c["erf_h1"])
+        dh1 *= dm @ params[p + "mlp.w2"].T
         da2 = dh1 @ params[p + "mlp.w1"].T
-        dx_mid_ln, dg2, db2 = _ln_backward(da2, params[p + "ln2.g"], c["ln2"])
-        grads[p + "ln2.g"] = dg2
-        grads[p + "ln2.b"] = db2
-        dx_mid = dx + dx_mid_ln
+        dx_mid = dx + _ln_backward(da2, params[p + "ln2.g"], c["ln2"])
+        if lm_weights:
+            grads[p + "mlp.w2"] = flat(c["hg"]).T @ flat(dm)
+            grads[p + "mlp.b2"] = dm.sum(axis=(0, 1))
+            grads[p + "mlp.w1"] = flat(c["a2"]).T @ flat(dh1)
+            grads[p + "mlp.b1"] = dh1.sum(axis=(0, 1))
+            grads[p + "ln2.g"], grads[p + "ln2.b"] = _ln_param_grads(da2, c["ln2"])
         # Attention block: x_mid = x_in + merge(att @ v) @ wo + bo
-        dattn_out = dx_mid
-        grads[p + "attn.wo"] = flat(c["ctx"]).T @ flat(dattn_out)
-        grads[p + "attn.bo"] = dattn_out.sum(axis=(0, 1))
-        dctx = _split_heads(dattn_out @ params[p + "attn.wo"].T, cfg.n_heads)
+        dctx = _split_heads(dx_mid @ params[p + "attn.wo"].T, cfg.n_heads)
         att, q, k, v = c["att"], c["q"], c["k"], c["v"]
-        datt = dctx @ v.transpose(0, 1, 3, 2)
+        dscores = dctx @ v.transpose(0, 1, 3, 2)  # d att, then d scores in place
         dv = att.transpose(0, 1, 3, 2) @ dctx
-        dscores = att * (datt - np.sum(datt * att, axis=-1, keepdims=True))
-        drel = np.zeros_like(params[p + "attn.rel"])
-        dscores_heads = dscores.sum(axis=0)  # (nh, T, T)
-        for hd in range(cfg.n_heads):
-            np.add.at(drel[hd], dist.ravel(), dscores_heads[hd].ravel())
-        grads[p + "attn.rel"] = drel
+        dscores -= np.add.reduce(dscores * att, axis=-1, keepdims=True)
+        dscores *= att
         draw = dscores * scale
-        dq = draw @ k
-        dk = draw.transpose(0, 1, 3, 2) @ q
-        dqf, dkf, dvf = (_merge_heads(z) for z in (dq, dk, dv))
+        dqkv = [_merge_heads(z) for z in (draw @ k, draw.transpose(0, 1, 3, 2) @ q, dv)]
         a = c["a"]
         da = np.zeros_like(a)
-        for name, dz in (("q", dqf), ("k", dkf), ("v", dvf)):
-            grads[p + f"attn.w{name}"] = flat(a).T @ flat(dz)
-            grads[p + f"attn.b{name}"] = dz.sum(axis=(0, 1))
+        for name, dz in zip("qkv", dqkv):
             da += dz @ params[p + f"attn.w{name}"].T
-        dx_in_ln, dg1, db1 = _ln_backward(da, params[p + "ln1.g"], c["ln1"])
-        grads[p + "ln1.g"] = dg1
-        grads[p + "ln1.b"] = db1
+        dx_in_ln = _ln_backward(da, params[p + "ln1.g"], c["ln1"])
+        if lm_weights:
+            grads[p + "attn.wo"] = flat(c["ctx"]).T @ flat(dx_mid)
+            grads[p + "attn.bo"] = dx_mid.sum(axis=(0, 1))
+            drel = np.zeros_like(params[p + "attn.rel"])
+            dscores_heads = dscores.sum(axis=0)  # (nh, T, T)
+            for hd in range(cfg.n_heads):
+                np.add.at(drel[hd], dist.ravel(), dscores_heads[hd].ravel())
+            grads[p + "attn.rel"] = drel
+            for name, dz in zip("qkv", dqkv):
+                grads[p + f"attn.w{name}"] = flat(a).T @ flat(dz)
+                grads[p + f"attn.b{name}"] = dz.sum(axis=(0, 1))
+            grads[p + "ln1.g"], grads[p + "ln1.b"] = _ln_param_grads(da, c["ln1"])
         dx = dx_mid + dx_in_ln
 
     # Input: x = scatter(embed, projected visuals) + pos
-    grads["lm.pos"] = np.zeros_like(params["lm.pos"])
-    grads["lm.pos"][:t] = dx.sum(axis=0)
-    dembed = np.zeros_like(params["lm.embed"])
-    text_mask = ~batch.visual_mask
-    np.add.at(dembed, batch.tokens[text_mask], dx[text_mask])
-    grads["lm.embed"] = dembed
+    if lm_weights:
+        grads["lm.pos"] = np.zeros_like(params["lm.pos"])
+        grads["lm.pos"][:t] = dx.sum(axis=0)
+        dembed = np.zeros_like(params["lm.embed"])
+        text_mask = ~batch.visual_mask
+        np.add.at(dembed, batch.tokens[text_mask], dx[text_mask])
+        grads["lm.embed"] = dembed
     if batch.visuals.shape[0]:
         dvis_out = dx[batch.visual_mask]
         proj_grads, _ = project_backward(batch.visuals, params, dvis_out)
@@ -431,12 +459,18 @@ def _backward(params, cfg: ModelConfig, batch: PackedBatch, cache, dlogits):
 
 def batch_loss_and_grads(model: AlignmentModel, seqs: list[TokenSequence],
                          trainable_prefixes: tuple[str, ...] | None = None):
-    """Mean masked NLL over a batch plus gradients for the trainable subset."""
+    """Mean masked NLL over a batch plus gradients for the trainable subset.
+
+    The lm.* weight gradients are computed only when some trainable prefix
+    covers an lm.* parameter (stage 2, or no prefixes at all).
+    """
     batch = pack_batch(seqs, model.vocab.pad_id)
     logits, cache = _forward(model.params, model.cfg, batch, want_cache=True)
     loss_val, per_seq, filler = _loss_from_logits(logits, batch)
     dlogits = _loss_backward_into_dlogits(logits.shape, filler)
-    grads = _backward(model.params, model.cfg, batch, cache, dlogits)
+    lm_weights = trainable_prefixes is None or any(
+        k.startswith(trainable_prefixes) for k in model.params if k.startswith("lm."))
+    grads = _backward(model.params, model.cfg, batch, cache, dlogits, lm_weights)
     if trainable_prefixes is not None:
         grads = {k: g for k, g in grads.items() if k.startswith(trainable_prefixes)}
     return loss_val, per_seq, grads

@@ -39,10 +39,23 @@ class TrainConfig:
     def __post_init__(self):
         if self.stage not in (STAGE1, STAGE2):
             raise ConfigError(f"stage must be '{STAGE1}' or '{STAGE2}', got {self.stage!r}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
+        if not math.isfinite(self.warmup_lr):
+            raise ConfigError(f"warmup_lr must be finite, got {self.warmup_lr}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.steps < 0:
+            raise ConfigError(f"steps must be >= 0, got {self.steps}")
+        if self.warmup_steps < 0:
+            raise ConfigError(f"warmup_steps must be >= 0, got {self.warmup_steps}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ConfigError(f"eps must be positive and finite, got {self.eps}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ConfigError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
 
     def lr_at(self, step: int) -> float:
         """Linear warmup from warmup_lr to lr, then constant."""
@@ -61,14 +74,20 @@ class AdamWState:
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     t: int = 0
+    # room for one update's two temporaries, reused by every parameter
+    scratch: np.ndarray = field(default_factory=lambda: np.empty(0), repr=False)
 
 
 def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
                state: AdamWState, cfg: TrainConfig, lr: float) -> None:
-    """In-place AdamW update over exactly the keys present in grads.
+    """In-place AdamW update of the parameter arrays named in grads.
 
     Decoupled weight decay applies to 2-D weight matrices only (biases,
-    layernorm vectors, and embeddings stay undecayed).
+    layernorm vectors, and embeddings stay undecayed). Per parameter:
+        m = b1 m + (1 - b1) g;   v = b2 v + (1 - b2) g^2
+        p -= lr ((m / bc1) / (sqrt(v / bc2) + eps) [+ weight_decay p])
+    evaluated in that order through two reused scratch buffers, so no
+    temporary array is allocated once the state has seen every parameter.
     """
     state.t += 1
     b1, b2 = cfg.beta1, cfg.beta2
@@ -81,14 +100,26 @@ def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
             state.v[name] = np.zeros_like(p)
         m = state.m[name]
         v = state.v[name]
+        n = p.size
+        if state.scratch.size < 2 * n:
+            state.scratch = np.empty(2 * n)
+        tmp = state.scratch[:n].reshape(p.shape)
+        update = state.scratch[n: 2 * n].reshape(p.shape)
         m *= b1
-        m += (1.0 - b1) * g
+        m += np.multiply(g, 1.0 - b1, out=tmp)
         v *= b2
-        v += (1.0 - b2) * (g * g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - b2
+        v += tmp
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += cfg.eps
+        np.divide(m, bc1, out=update)
+        update /= tmp
         if cfg.weight_decay and p.ndim == 2 and not name.startswith("lm.embed"):
-            update = update + cfg.weight_decay * p
-        params[name] = p - lr * update
+            update += np.multiply(p, cfg.weight_decay, out=tmp)
+        update *= lr
+        p -= update
 
 
 def train(dataset: list[TokenSequence], cfg: TrainConfig,

@@ -14,14 +14,18 @@ Floats are 64-bit little-endian, row-major; a write/read round trip is
 bit-identical. Truncated or corrupt files raise a clean format error and
 never return a partial object: that covers a shape whose element count does
 not match the byte length, kind or name bytes that are not UTF-8, and bytes
-after the last array.
+after the last array. Writes are atomic: a temp file in the target's
+directory, renamed over the target once complete.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import math
+import os
+import secrets
 import struct
 from dataclasses import asdict
 
@@ -75,8 +79,18 @@ def save_artifact(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) ->
         raw = data.tobytes()
         buf.write(struct.pack("<Q", len(raw)))
         buf.write(raw)
-    with open(path, "wb") as f:
-        f.write(buf.getvalue())
+    # write a temp file beside the target, then rename it over the target:
+    # a failed write leaves any old file intact and no partial file behind
+    tmp = f"{os.fspath(path)}.{os.getpid()}.{secrets.token_hex(4)}.tmp"
+    f = open(tmp, "xb")
+    try:
+        with f:
+            f.write(buf.getvalue())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def _read_exact(f, n: int, what: str) -> bytes:

@@ -348,11 +348,13 @@ def voxelize(
     """
     positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
     vectors = np.asarray(vectors, dtype=np.float64)
+    if vectors.ndim != 2:
+        raise ConfigError(f"point vectors must be an N x D array, got shape {vectors.shape}")
     if vectors.shape[0] != positions.shape[0]:
         raise ConfigError("positions and point vectors disagree on count")
     n = positions.shape[0]
     dims = layout.dims
-    feat_dim = vectors.shape[1] if n else 4
+    feat_dim = vectors.shape[1]
     idx, inside = layout.locate(positions)
     kept_ids = np.flatnonzero(inside)
     if kept_ids.size < n:

@@ -14,11 +14,15 @@ held-out selection done the direct way: for each candidate, rebuild the set
 of answer words left in training and test the candidate's words against it.
 `dense_merge` is the masked scene update on dense arrays: a select that takes
 the frame's features where the frame sees, and the OR of the visibilities.
+`full_backward` is the transformer's backward pass as one pass that computes
+every gradient, with its own GELU, layer-norm and projection helpers; the
+stage-aware backward must return the same bits for every key it returns.
 """
 
 import math
 
 import numpy as np
+from scipy.special import erf
 
 from scenefusion.worldsim import COLOR_TABLE
 
@@ -184,3 +188,145 @@ def dense_merge(scene_features, scene_visibility, frame_features, frame_visibili
     """The hard-mask merge on dense X x Y x Z (x D) arrays: (features, visibility)."""
     features = np.where(frame_visibility[..., None], frame_features, scene_features)
     return features, scene_visibility | frame_visibility
+
+
+# ---------------------------------------------------------------------------
+# the transformer's one-pass backward, kept as the reference for the
+# stage-aware one: same operations on the same operands, so every gradient
+# must match bit for bit
+
+
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+
+
+def gelu_formula(x):
+    """Exact GELU as one expression."""
+    return 0.5 * x * (1.0 + erf(x * _INV_SQRT2))
+
+
+def gelu_grad_formula(x):
+    """d gelu / dx as one expression."""
+    return 0.5 * (1.0 + erf(x * _INV_SQRT2)) + x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI
+
+
+def _project_backward(visual_tokens, params, dout):
+    x = np.atleast_2d(np.asarray(visual_tokens, dtype=np.float64))
+    dout = np.atleast_2d(np.asarray(dout, dtype=np.float64))
+    pre = x @ params["proj.w1"] + params["proj.b1"]
+    hidden = gelu_formula(pre)
+    dhidden = dout @ params["proj.w2"].T
+    dpre = dhidden * gelu_grad_formula(pre)
+    grads = {
+        "proj.w2": hidden.T @ dout,
+        "proj.b2": dout.sum(axis=0),
+        "proj.w1": x.T @ dpre,
+        "proj.b1": dpre.sum(axis=0),
+    }
+    return grads, dpre @ params["proj.w1"].T
+
+
+def _ln_backward(dout, g, cache):
+    xhat, rstd = cache
+    axes = tuple(range(dout.ndim - 1))
+    dg = np.sum(dout * xhat, axis=axes)
+    db = np.sum(dout, axis=axes)
+    dxhat = dout * g
+    dx = rstd * (
+        dxhat
+        - dxhat.mean(axis=-1, keepdims=True)
+        - xhat * np.mean(dxhat * xhat, axis=-1, keepdims=True)
+    )
+    return dx, dg, db
+
+
+def _split_heads(x, n_heads):
+    b, t, h = x.shape
+    return x.reshape(b, t, n_heads, h // n_heads).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(x):
+    b, nh, t, dh = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(b, t, nh * dh)
+
+
+def full_backward(params, cfg, batch, cache, dlogits):
+    """Every gradient of the loss in one pass, with the helpers above: the
+    reference for `align.model._backward`, which must give the same bits for
+    every gradient it computes."""
+    grads = {}
+    xf = cache["xf"]
+    b, t, _ = xf.shape
+
+    def flat(arr):
+        return arr.reshape(b * t, -1)
+
+    grads["lm.head.w"] = flat(xf).T @ flat(dlogits)
+    grads["lm.head.b"] = dlogits.sum(axis=(0, 1))
+    dxf = dlogits @ params["lm.head.w"].T
+    dx, dgf, dbf = _ln_backward(dxf, params["lm.ln_f.g"], cache["lnf"])
+    grads["lm.ln_f.g"] = dgf
+    grads["lm.ln_f.b"] = dbf
+
+    scale = 1.0 / np.sqrt(cfg.head_dim)
+    dist = np.maximum(np.subtract.outer(np.arange(t), np.arange(t)), 0)
+    for l in reversed(range(cfg.n_layers)):
+        p = f"lm.layers.{l}."
+        c = cache["layers"][l]
+        # MLP block: x = x_mid + gelu(a2 @ w1 + b1) @ w2 + b2
+        dm = dx
+        grads[p + "mlp.w2"] = flat(c["hg"]).T @ flat(dm)
+        grads[p + "mlp.b2"] = dm.sum(axis=(0, 1))
+        dhg = dm @ params[p + "mlp.w2"].T
+        dh1 = dhg * gelu_grad_formula(c["h1"])
+        grads[p + "mlp.w1"] = flat(c["a2"]).T @ flat(dh1)
+        grads[p + "mlp.b1"] = dh1.sum(axis=(0, 1))
+        da2 = dh1 @ params[p + "mlp.w1"].T
+        dx_mid_ln, dg2, db2 = _ln_backward(da2, params[p + "ln2.g"], c["ln2"])
+        grads[p + "ln2.g"] = dg2
+        grads[p + "ln2.b"] = db2
+        dx_mid = dx + dx_mid_ln
+        # Attention block: x_mid = x_in + merge(att @ v) @ wo + bo
+        dattn_out = dx_mid
+        grads[p + "attn.wo"] = flat(c["ctx"]).T @ flat(dattn_out)
+        grads[p + "attn.bo"] = dattn_out.sum(axis=(0, 1))
+        dctx = _split_heads(dattn_out @ params[p + "attn.wo"].T, cfg.n_heads)
+        att, q, k, v = c["att"], c["q"], c["k"], c["v"]
+        datt = dctx @ v.transpose(0, 1, 3, 2)
+        dv = att.transpose(0, 1, 3, 2) @ dctx
+        dscores = att * (datt - np.sum(datt * att, axis=-1, keepdims=True))
+        drel = np.zeros_like(params[p + "attn.rel"])
+        dscores_heads = dscores.sum(axis=0)  # (nh, T, T)
+        for hd in range(cfg.n_heads):
+            np.add.at(drel[hd], dist.ravel(), dscores_heads[hd].ravel())
+        grads[p + "attn.rel"] = drel
+        draw = dscores * scale
+        dq = draw @ k
+        dk = draw.transpose(0, 1, 3, 2) @ q
+        dqf, dkf, dvf = (_merge_heads(z) for z in (dq, dk, dv))
+        a = c["a"]
+        da = np.zeros_like(a)
+        for name, dz in (("q", dqf), ("k", dkf), ("v", dvf)):
+            grads[p + f"attn.w{name}"] = flat(a).T @ flat(dz)
+            grads[p + f"attn.b{name}"] = dz.sum(axis=(0, 1))
+            da += dz @ params[p + f"attn.w{name}"].T
+        dx_in_ln, dg1, db1 = _ln_backward(da, params[p + "ln1.g"], c["ln1"])
+        grads[p + "ln1.g"] = dg1
+        grads[p + "ln1.b"] = db1
+        dx = dx_mid + dx_in_ln
+
+    # Input: x = scatter(embed, projected visuals) + pos
+    grads["lm.pos"] = np.zeros_like(params["lm.pos"])
+    grads["lm.pos"][:t] = dx.sum(axis=0)
+    dembed = np.zeros_like(params["lm.embed"])
+    text_mask = ~batch.visual_mask
+    np.add.at(dembed, batch.tokens[text_mask], dx[text_mask])
+    grads["lm.embed"] = dembed
+    if batch.visuals.shape[0]:
+        dvis_out = dx[batch.visual_mask]
+        proj_grads, _ = _project_backward(batch.visuals, params, dvis_out)
+        grads.update(proj_grads)
+    else:
+        for nm in ("proj.w1", "proj.b1", "proj.w2", "proj.b2"):
+            grads[nm] = np.zeros_like(params[nm])
+    return grads

@@ -8,17 +8,24 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import full_backward
 from scenefusion.align import model as model_module
 from scenefusion.align.model import (
     AlignmentModel,
     ModelConfig,
+    _forward,
+    _loss_backward_into_dlogits,
+    _loss_from_logits,
+    batch_loss_and_grads,
     forward_logits,
     generate,
     gradients,
     init_params,
     loss,
+    pack_batch,
 )
 from scenefusion.align.sequence import TokenSequence, assemble_sequence
+from scenefusion.align.training import STAGE1, STAGE2, trainable_prefixes
 from scenefusion.align.vocab import build_vocab
 from scenefusion.errors import ConfigError
 
@@ -139,6 +146,59 @@ class TestGradients:
         seq = _random_seq(rng, vocab)
         grads = gradients(seq, model)
         assert not grads["lm.pos"][len(seq):].any()
+
+
+def _random_training_case(rng, vocab, case):
+    """A seeded random model (every parameter perturbed off its init, so LN
+    gains, biases and the relative bias are generic) and a padded batch."""
+    heads = int(rng.integers(1, 4))
+    h = heads * int(rng.integers(1, 5))
+    proj_in = int(rng.integers(4, 10))
+    cfg = ModelConfig(vocab_size=len(vocab), h=h, n_layers=int(rng.integers(1, 4)),
+                      n_heads=heads, ff=int(rng.integers(2, 25)), max_len=64,
+                      proj_in=proj_in, proj_mid=int(rng.integers(2, 9)))
+    params = {k: v + rng.normal(0.0, 0.1, size=v.shape)
+              for k, v in init_params(cfg, case).items()}
+    n_seqs = 1 if case % 5 == 0 else int(rng.integers(2, 6))
+    no_visuals = case % 7 == 0
+    seqs = [_random_seq(rng, vocab, n_vis=0 if no_visuals else int(rng.integers(0, 5)),
+                        n_instr=int(rng.integers(1, 8)), n_ans=int(rng.integers(1, 4)),
+                        proj_in=proj_in, kind="scene" if rng.integers(2) else "frame")
+            for _ in range(n_seqs)]
+    return AlignmentModel(cfg, params, vocab), seqs
+
+
+class TestStageAwareBackward:
+    """`batch_loss_and_grads` skips the lm.* weight gradients when no trainable
+    prefix covers them; every gradient it does return equals the one-pass
+    reference (`oracles.full_backward`) bit for bit."""
+
+    def test_matches_one_pass_reference_bit_for_bit(self, vocab):
+        proj_keys = ["proj.b1", "proj.b2", "proj.w1", "proj.w2"]
+        shapes = {"single": 0, "padded": 0, "no_visuals": 0}
+        for case in range(60):
+            rng = np.random.default_rng(9000 + case)
+            model, seqs = _random_training_case(rng, vocab, case)
+            batch = pack_batch(seqs, vocab.pad_id)
+            logits, cache = _forward(model.params, model.cfg, batch, want_cache=True)
+            ref_loss, _, filler = _loss_from_logits(logits, batch)
+            dlogits = _loss_backward_into_dlogits(logits.shape, filler)
+            ref = full_backward(model.params, model.cfg, batch, cache, dlogits)
+            assert sorted(ref) == sorted(model.params)
+            shapes["single"] += len(seqs) == 1
+            shapes["padded"] += len({len(s) for s in seqs}) > 1
+            shapes["no_visuals"] += not batch.visuals.shape[0]
+            for prefixes in (trainable_prefixes(STAGE1), trainable_prefixes(STAGE2), None):
+                loss_val, _, grads = batch_loss_and_grads(model, seqs, prefixes)
+                assert loss_val == ref_loss
+                want = [k for k in ref if prefixes is None or k.startswith(prefixes)]
+                assert list(grads) == want, f"case {case} {prefixes}"
+                for k in want:
+                    assert grads[k].shape == ref[k].shape
+                    assert grads[k].tobytes() == ref[k].tobytes(), f"case {case} {prefixes} {k}"
+                if prefixes == trainable_prefixes(STAGE1):
+                    assert sorted(grads) == proj_keys
+        assert all(n >= 5 for n in shapes.values()), shapes
 
 
 class TestMaskAndCausality:

@@ -6,7 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from scenefusion.align.projector import gelu, gelu_grad, init_projection_params, project
+from oracles import gelu_formula, gelu_grad_formula
+from scenefusion.align.projector import (
+    gelu,
+    gelu_grad,
+    gelu_grad_from_term,
+    gelu_with_term,
+    init_projection_params,
+    project,
+)
 from scenefusion.errors import ConfigError
 
 
@@ -25,6 +33,27 @@ class TestGelu:
         eps = 1e-6
         fd = (gelu(xs + eps) - gelu(xs - eps)) / (2 * eps)
         np.testing.assert_allclose(gelu_grad(xs), fd, atol=1e-9)
+
+    def test_in_place_pieces_equal_the_formulas_bit_for_bit(self):
+        """The forward keeps gelu_with_term's erf term for the backward;
+        both halves must equal the one-expression formulas exactly, on
+        signed zeros, subnormals, huge |x| (exp underflows, x*x overflows)
+        and ordinary values, and the public functions on 0-d input too."""
+        tiny = np.nextafter(0.0, 1.0)
+        special = [0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, 2.2e-308, -2.2e-308,
+                   30.0, -30.0, 1e3, -1e3, 1e154, -1e154, 1e200, -1e200, 1.7e308, -1.7e308]
+        xs = np.concatenate([special, np.random.default_rng(0).normal(0.0, 3.0, 1000)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            want_y, want_dy = gelu_formula(xs), gelu_grad_formula(xs)
+            y, c = gelu_with_term(xs)
+            dy = gelu_grad_from_term(xs, c)
+            assert y.tobytes() == want_y.tobytes()
+            assert dy.tobytes() == want_dy.tobytes()
+            assert gelu(xs).tobytes() == want_y.tobytes()
+            assert gelu_grad(xs).tobytes() == want_dy.tobytes()
+            for x, wy, wdy in zip(xs[:len(special)], want_y, want_dy):
+                assert np.float64(gelu(x)).tobytes() == wy.tobytes()
+                assert np.float64(gelu_grad(x)).tobytes() == wdy.tobytes()
 
 
 class TestProject:

@@ -1,6 +1,8 @@
 """Two-stage training: freeze contract, warmup schedule, determinism,
 divergence handling, and memorization-level trainability."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,15 @@ from scenefusion.align.model import AlignmentModel, ModelConfig, generate, param
 from scenefusion.align.sequence import assemble_sequence
 from scenefusion.align.training import STAGE1, STAGE2, TrainConfig, train
 from scenefusion.align.vocab import build_vocab
+from scenefusion.config import RunConfig
+from scenefusion.datagen import DatagenConfig, build_dataset_dir, load_dataset_dir, sequences_for
 from scenefusion.errors import ConfigError, TrainingDivergedError
+from scenefusion.worldsim import WorldConfig, word_grounding
+
+# sha256 over the stage-1 and stage-2 parameter hashes and both loss traces of
+# `test_two_stage_run_matches_pinned_digest` (float64, this numpy/OpenBLAS
+# build), pinned with the one-pass backward and allocating AdamW
+GOLDEN_TWO_STAGE = "d26b8c80077da5d4d109427f3e81434fc7e1858b598fb0fe26f7be6dc9894edb"
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +91,25 @@ class TestTrainContract:
             train([], TrainConfig(steps=1), model)
 
 
+class TestTrainConfigValidation:
+    @pytest.mark.parametrize("name,value", [
+        ("steps", -3), ("warmup_steps", -5),
+        ("lr", float("nan")), ("lr", float("inf")),
+        ("warmup_lr", float("nan")), ("warmup_lr", -float("inf")),
+        ("beta1", -0.1), ("beta1", 1.0), ("beta1", float("nan")),
+        ("beta2", -1e-9), ("beta2", 1.0),
+        ("eps", 0.0), ("eps", -1e-8), ("eps", float("nan")), ("eps", float("inf")),
+        ("weight_decay", -0.01), ("weight_decay", float("nan")), ("weight_decay", float("inf")),
+    ])
+    def test_bad_value_raises_config_error(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must"):
+            TrainConfig(**{name: value})
+
+    def test_edges_of_the_legal_ranges_are_accepted(self):
+        TrainConfig(steps=0, warmup_steps=0, warmup_lr=0.0, beta1=0.0, beta2=0.0,
+                    eps=5e-324, weight_decay=0.0)
+
+
 class TestWarmup:
     def test_linear_schedule_shape(self):
         cfg = TrainConfig(lr=1e-3, warmup_steps=10, warmup_lr=1e-4)
@@ -111,3 +140,26 @@ class TestTrainability:
         cfg = TrainConfig(stage=STAGE2, steps=120, lr=1e-3, batch_size=4, seed=4)
         _, trace = train(dataset, cfg, model)
         assert np.mean(trace[-10:]) < np.mean(trace[:10])
+
+
+class TestPinnedTwoStageRun:
+    def test_two_stage_run_matches_pinned_digest(self, tmp_path):
+        """A 2-world dataset and model with default configs, the CLI's stage
+        learning rates, 40 steps a stage: every parameter and loss bit."""
+        build_dataset_dir(tmp_path, 2, WorldConfig(), DatagenConfig())
+        bundle = load_dataset_dir(tmp_path)
+        rc = RunConfig()
+        cfg = ModelConfig(vocab_size=len(bundle.vocab), h=rc.h, n_layers=rc.n_layers,
+                          n_heads=rc.n_heads, max_len=rc.max_len,
+                          proj_in=bundle.frame_records[0].visual.shape[1], proj_mid=rc.h_mid)
+        grounding = word_grounding(next(iter(bundle.worlds.values())))
+        model = AlignmentModel.create(cfg, bundle.vocab, seed=0, word_grounding=grounding)
+        s1 = sequences_for([r for r in bundle.frame_records if r.group == "frame"], bundle.vocab)
+        s2 = sequences_for(bundle.frame_records + bundle.train_records, bundle.vocab)
+        m1, trace1 = train(s1, TrainConfig(stage=STAGE1, lr=3e-4, warmup_lr=3e-5, steps=40), model)
+        m2, trace2 = train(s2, TrainConfig(stage=STAGE2, lr=2e-3, warmup_lr=2e-4, steps=40), m1)
+        h = hashlib.sha256()
+        for m in (m1, m2):
+            h.update(param_hash(m.params).encode())
+        h.update(np.array(trace1 + trace2, dtype=np.float64).tobytes())
+        assert h.hexdigest() == GOLDEN_TWO_STAGE

@@ -224,3 +224,17 @@ class TestDatagenTrainEval:
         report = json.loads(capsys.readouterr().out.strip())
         assert report["total"] == 2
         assert 0.0 <= report["exact_match"] <= 1.0
+
+    @pytest.mark.parametrize("flags", [["--steps", "-3"], ["--warmup", "-5"], ["--lr", "nan"]])
+    def test_train_rejects_bad_schedule_flags(self, tmp_path, capsys, flags):
+        data_dir = tmp_path / "data"
+        assert main(["datagen", "--out", str(data_dir), "--worlds", "1", "--objects", "3",
+                     "--per-kind", "2", "--heldout", "1", "--n-views", "4",
+                     "--frame-views", "1"]) == 0
+        capsys.readouterr()
+        ckpt = tmp_path / "ckpt.bin"
+        rc = main(["train", "--data", str(data_dir), "--stage", "1", "--out", str(ckpt),
+                   "--batch", "2", "--h", "16", "--h-mid", "8", *flags])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ConfigError: ")
+        assert not ckpt.exists()

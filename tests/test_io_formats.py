@@ -1,12 +1,14 @@
 """Artifact container: bit-exact round trips, version/magic checks, and
 truncation fault injection."""
 
+import errno
 import struct
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from scenefusion import io_formats
 from scenefusion.align.model import AlignmentModel, ModelConfig, param_hash
 from scenefusion.align.vocab import build_vocab
 from scenefusion.datagen import frame_from_view
@@ -77,6 +79,49 @@ class TestContainer:
             trunc.write_bytes(data[:cut])
             with pytest.raises(ArtifactFormatError):
                 load_artifact(trunc)
+
+
+class _HalfWriter:
+    """A file that keeps half of what it is given, then fails as a full disk."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        self.f.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class TestAtomicWrites:
+    def test_failed_write_keeps_the_old_file_and_leaves_no_temp(self, tmp_path, monkeypatch):
+        path = tmp_path / "a.bin"
+        save_artifact(path, "grid", {"n": 1}, {"a": np.arange(4.0)})
+        old = path.read_bytes()
+        real_open = open
+        monkeypatch.setattr(io_formats, "open",
+                            lambda *a, **k: _HalfWriter(real_open(*a, **k)), raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            save_artifact(path, "grid", {"n": 2}, {"a": np.arange(1000.0)})
+        with pytest.raises(OSError, match="No space left"):
+            save_artifact(tmp_path / "new.bin", "grid", {"n": 2}, {"a": np.arange(1000.0)})
+        monkeypatch.undo()
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["a.bin"]
+
+    def test_write_replaces_the_old_file(self, tmp_path):
+        path = tmp_path / "a.bin"
+        save_artifact(path, "grid", {"n": 1}, {"a": np.arange(4.0)})
+        save_artifact(path, "grid", {"n": 2}, {"a": np.arange(9.0)})
+        _, meta, arrays = load_artifact(path)
+        assert meta == {"n": 2}
+        np.testing.assert_array_equal(arrays["a"], np.arange(9.0))
+        assert [p.name for p in tmp_path.iterdir()] == ["a.bin"]
 
 
 class TestContainerErrorsNameTheFile:

@@ -155,6 +155,16 @@ class TestUpdateScene:
         np.testing.assert_array_equal(new_state.grid.visibility, state.grid.visibility)
         assert new_state.t == state.t + 1
 
+    def test_empty_frame_leaves_scene_unchanged(self):
+        rng = np.random.default_rng(9)
+        state = init_scene([_random_frame(rng, 60, d=16)], 0.25, CFG)
+        assert state.grid.feature_dim == 19
+        empty = _frame(np.zeros((0, 3)), np.zeros((0, 16)))
+        new_state = update_scene(state, empty, CFG)
+        assert new_state.t == state.t + 1
+        assert new_state.grid.index.tobytes() == state.grid.index.tobytes()
+        assert new_state.grid.rows.tobytes() == state.grid.rows.tobytes()
+
     def test_full_visibility_takes_frame_exactly(self):
         rng, state, _ = self._setup()
         # a frame whose points cover every voxel center of the scene layout

@@ -202,6 +202,7 @@ class TestVoxelize:
         layout = grid_layout(None, 0.5, explicit_bounds=([0, 0, 0], [1, 1, 1]))
         grid = voxelize(np.zeros((0, 3)), np.zeros((0, 7)), layout, VoxelClusterConfig())
         assert grid.n_visible == 0
+        assert grid.feature_dim == 7
         assert not grid.features.any()
 
     def test_one_point_per_voxel_copies_vectors(self):
