@@ -7,13 +7,12 @@ lifts tokens into a tiny trainable language model for captioning, QA, and
 interactive planning against the built-in box-world simulator.
 """
 
-from .geometry import CameraIntrinsics, DepthImage, Pose, invert_pose, to_world, unproject
+from .geometry import CameraIntrinsics, DepthImage, Pose, to_world, unproject
 from .frame import FeatureImage, Frame3D, build_frame, feature_vectors, point_feature_vector
 from .voxelizer import (
     GridLayout,
     VoxelClusterConfig,
     VoxelGrid,
-    assign_voxels,
     cluster_voxel,
     grid_layout,
     token_matrix,
@@ -86,7 +85,6 @@ __all__ = [
     "aggregate_frames",
     "apply_action",
     "assemble_sequence",
-    "assign_voxels",
     "build_frame",
     "build_vocab",
     "capture_views",
@@ -101,7 +99,6 @@ __all__ = [
     "gradients",
     "grid_layout",
     "init_scene",
-    "invert_pose",
     "loss",
     "parse_action",
     "plan_step",

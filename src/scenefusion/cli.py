@@ -27,7 +27,7 @@ from .datagen import (
     scene_from_world,
     sequences_for,
 )
-from .errors import SceneFusionError
+from .errors import ConfigError, SceneFusionError
 from .interact import Disturbance, GridBeliefPlanner, OraclePlanner, run_episode
 from .io_formats import (
     load_checkpoint,
@@ -54,6 +54,17 @@ from .worldsim import (
     save_world,
     word_grounding,
 )
+
+
+def _count(text: str) -> int:
+    """argparse type of counts and indices: a negative one is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
 
 
 def _camera_for(args, world):
@@ -195,13 +206,11 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _eval_records(model, records) -> tuple[int, int]:
-    hits = 0
-    for rec in records:
-        seq = record_sequence(rec, model.vocab)
-        out = generate(seq.prefix_before_answer(), model, max_len=16)
-        hits += int(out.strip() == rec.answer.lower().strip())
-    return hits, len(records)
+def _exact_match_hits(model, prompts, max_len: int) -> int:
+    """How many (sequence, answer) pairs the model answers exactly: greedy
+    decoding after the sequence's prompt, compared without case or edge space."""
+    return sum(generate(seq.prefix_before_answer(), model, max_len=max_len).strip()
+               == answer.lower().strip() for seq, answer in prompts)
 
 
 def _cmd_eval_qa(args) -> int:
@@ -210,7 +219,8 @@ def _cmd_eval_qa(args) -> int:
     records = bundle.heldout_records if args.split == "heldout" else bundle.train_records
     if args.limit:
         records = records[: args.limit]
-    hits, total = _eval_records(model, records)
+    prompts = ((record_sequence(r, model.vocab), r.answer) for r in records)
+    hits, total = _exact_match_hits(model, prompts, max_len=16), len(records)
     em = hits / total if total else 0.0
     print(json.dumps({"split": args.split, "exact_match": round(em, 4),
                       "hits": hits, "total": total}, sort_keys=True))
@@ -270,25 +280,21 @@ def _qa_records_for_world(world, seed):
     )
 
 
-def _em_for_tokens(model, records, tokens) -> float:
-    hits = 0
-    for rec in records:
-        seq = assemble_sequence(SEQ_KIND_SCENE, tokens, rec.instruction, "", model.vocab)
-        out = generate(seq.prefix_before_answer(), model, max_len=8)
-        hits += int(out.strip() == rec.answer.lower().strip())
-    return hits / len(records) if records else 0.0
-
-
 def _cmd_ablate(args) -> int:
     world = load_world(args.world)
     model = load_checkpoint(args.checkpoint) if args.checkpoint else None
     records = _qa_records_for_world(world, args.seed) if model else []
-    values = args.values.split(",")
     by_resolution = args.axis == "resolution"
+    kind = float if by_resolution else int
+    try:
+        values = sorted(map(kind, args.values.split(",")), reverse=by_resolution)
+    except ValueError:
+        raise ConfigError(f"--values must be comma-separated {kind.__name__}s, "
+                          f"got {args.values!r}") from None
     if by_resolution:  # coarse to fine
-        pairs = [(r, args.n_views) for r in sorted(map(float, values), reverse=True)]
+        pairs = [(r, args.n_views) for r in values]
     else:
-        pairs = [(args.r, n) for n in sorted(map(int, values))]
+        pairs = [(args.r, n) for n in values]
     rows = []
     for r, n in pairs:
         state, _ = scene_from_world(world, r, VoxelClusterConfig(k=args.k),
@@ -297,7 +303,10 @@ def _cmd_ablate(args) -> int:
         row["tokens"] = int(state.grid.n_visible)
         if model:
             _, tokens = token_matrix(state.grid)
-            row["exact_match"] = round(_em_for_tokens(model, records, tokens), 4)
+            prompts = [(assemble_sequence(SEQ_KIND_SCENE, tokens, r.instruction, "", model.vocab),
+                        r.answer) for r in records]
+            em = _exact_match_hits(model, prompts, max_len=8) / len(records) if records else 0.0
+            row["exact_match"] = round(em, 4)
         rows.append(row)
     counts = [row["tokens"] for row in rows]
     if by_resolution and any(b < a for a, b in zip(counts, counts[1:])):
@@ -339,7 +348,7 @@ def _cmd_pca_dump(args) -> int:
 
 
 def _add_camera_flags(p):
-    p.add_argument("--view", type=int, default=0, help="view index from capture_views")
+    p.add_argument("--view", type=_count, default=0, help="view index from capture_views")
     p.add_argument("--n-views", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--agent", action="store_true", help="use the agent's egocentric camera")
@@ -441,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--split", choices=["heldout", "train"], default="heldout")
-    p.add_argument("--limit", type=int, default=0)
+    p.add_argument("--limit", type=_count, default=0, help="0 = every record")
     p.set_defaults(func=_cmd_eval_qa)
 
     episode_p = sub.add_parser("episode", help="interactive episodes")
@@ -453,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--planner", choices=["oracle", "belief"], default=None)
     p.add_argument("--task-seed", type=int, default=0)
     p.add_argument("--task-index", type=int, default=0)
-    p.add_argument("--budget", type=int, default=12)
+    p.add_argument("--budget", type=_count, default=12)
     p.add_argument("--r", type=float, default=0.25)
     p.add_argument("--k", type=int, default=cfg.knn_k)
     p.add_argument("--n-views", type=int, default=8)
@@ -462,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-egocentric", action="store_true")
     p.add_argument("--disturb-swap", type=int, nargs=2, default=None,
                    metavar=("OID_A", "OID_B"))
-    p.add_argument("--disturb-after", type=int, default=0)
+    p.add_argument("--disturb-after", type=_count, default=0)
     p.add_argument("--frames-dir", default=None)
     p.set_defaults(func=_cmd_episode_run)
 

@@ -34,6 +34,7 @@ from .worldsim import (
     gen_world,
     load_world,
     object_list_text,
+    plural,
     render,
     save_world,
 )
@@ -94,11 +95,6 @@ def scene_from_world(world: WorldState, resolution: float, cfg: VoxelClusterConf
     return room_scene(world, frames, resolution, cfg), frames
 
 
-def scene_tokens(state: SceneState) -> np.ndarray:
-    _, tokens = token_matrix(state.grid)
-    return tokens
-
-
 def _hit_ids(rr: RenderResult) -> list[int]:
     """Ids of the objects a render's pixels hit, ascending."""
     return [int(i) for i in np.unique(rr.object_ids) if i >= 0]
@@ -154,8 +150,6 @@ def frame_qa_records(world: WorldState, visible_ids, rng: np.random.Generator,
     Existence questions are balanced between visible and not-visible
     categories so the answer prior carries no information.
     """
-    from .worldsim import plural
-
     visible_cats = sorted({world.object_by_id(i).category for i in visible_ids})
     absent_cats = sorted(set(world.categories_pool) - set(visible_cats))
     out: list[tuple[str, str, str]] = []
@@ -171,14 +165,11 @@ def frame_qa_records(world: WorldState, visible_ids, rng: np.random.Generator,
         out.append(("qa_existence", f"is there a {cat}", "yes"))
     for cat in absent_cats[: n_existence - min(n_yes, len(visible_cats))]:
         out.append(("qa_existence", f"is there a {cat}", "no"))
-    counts: dict[str, int] = {}
-    for i in visible_ids:
-        c = world.object_by_id(i).category
-        counts[c] = counts.get(c, 0) + 1
+    counts = Counter(world.object_by_id(i).category for i in visible_ids)
     pool = list(world.categories_pool)
     rng.shuffle(pool)
     for cat in pool[:n_counting]:
-        out.append(("qa_counting", f"how many {plural(cat)}", str(counts.get(cat, 0))))
+        out.append(("qa_counting", f"how many {plural(cat)}", str(counts[cat])))
     return out
 
 
@@ -230,7 +221,7 @@ def world_records(world: WorldState, cfg: DatagenConfig,
         frames = [f for f, _ in picked]
         if view_qa and not any(f.n_points for f in frames):
             continue  # a partial or variant scene that saw nothing
-        tokens = scene_tokens(room_scene(world, frames, cfg.resolution, vcfg))
+        _, tokens = token_matrix(room_scene(world, frames, cfg.resolution, vcfg).grid)
         if view_qa:
             ids = sorted({i for _, hit in picked for i in hit})
             qa = frame_qa_records(world, ids, *view_qa)

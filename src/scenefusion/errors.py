@@ -13,14 +13,6 @@ class EmptyInputError(SceneFusionError):
     """An operation that needs at least one point/frame/record got none."""
 
 
-class OutOfBoundsError(SceneFusionError):
-    """Points fall outside an explicitly bounded grid. Lists the offenders."""
-
-    def __init__(self, msg, offenders=None):
-        super().__init__(msg)
-        self.offenders = [] if offenders is None else list(offenders)
-
-
 class TokenizationError(SceneFusionError):
     """A word is not in the frozen vocabulary. Names the word."""
 

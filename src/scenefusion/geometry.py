@@ -134,11 +134,6 @@ def to_world(camera_points: np.ndarray, pose: Pose) -> np.ndarray:
     return out[0] if single else out
 
 
-def invert_pose(pose: Pose) -> Pose:
-    rt = pose.rotation.T
-    return Pose(rt, -rt @ pose.translation)
-
-
 def look_at_pose(eye: np.ndarray, target: np.ndarray, up=(0.0, 0.0, 1.0)) -> Pose:
     """Camera-to-world pose for a camera at `eye` whose +z axis points at `target`.
 

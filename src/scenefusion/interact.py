@@ -25,7 +25,7 @@ import numpy as np
 
 from .align.model import AlignmentModel, generate
 from .align.sequence import SEQ_KIND_FRAME, SEQ_KIND_SCENE, assemble_sequence
-from .datagen import frame_from_view, frame_tokens, room_scene, scene_tokens
+from .datagen import frame_from_view, frame_tokens, room_scene
 from .errors import EpisodeFailure, SceneFusionError
 from .frame import Frame3D
 from .scene import SceneState, update_scene
@@ -117,7 +117,7 @@ def planning_prompt(ep: EpisodeState, egocentric: bool = True) -> str:
 def plan_step(ep: EpisodeState, model: AlignmentModel, egocentric: bool = True,
               max_len: int = 12) -> tuple[PlannerAction, str]:
     """Ask the model for the next action, once: greedy decoding repeats a bad answer."""
-    visual = scene_tokens(ep.scene)
+    _, visual = token_matrix(ep.scene.grid)
     prompt_text = planning_prompt(ep, egocentric)
     seq = assemble_sequence(SEQ_KIND_SCENE, visual, prompt_text, "", model.vocab)
     out = generate(seq.prefix_before_answer(), model, max_len=max_len)
@@ -166,9 +166,8 @@ class GridBeliefPlanner:
         self.target = world.object_by_id(task.target_id)
         self.embeddings = world.category_embeddings
         # room bounds are static map knowledge; object positions are not
-        self.survey_xy = np.asarray(
-            survey_xy if survey_xy is not None else survey_point(world)[:2], dtype=np.float64
-        )
+        x, y = survey_xy if survey_xy is not None else survey_point(world)[:2]
+        self.survey = PlannerAction("goto", f"{x:.2f} {y:.2f} 0.00")
         self.surveyed = False
         self.placed = False
 
@@ -196,30 +195,19 @@ class GridBeliefPlanner:
     def __call__(self, ep: EpisodeState, obs: Observation) -> PlannerAction:
         if not self.surveyed:
             self.surveyed = True
-            return PlannerAction(
-                "goto", f"{self.survey_xy[0]:.2f} {self.survey_xy[1]:.2f} 0.00"
-            )
+            return self.survey
         if self.placed:
             return PlannerAction("done")
         holding = self.subject.oid in obs.held_ids
-        if holding:
-            pos = self._believed_position(ep.scene, self.target)
-            if pos is None:
-                return PlannerAction(
-                    "goto", f"{self.survey_xy[0]:.2f} {self.survey_xy[1]:.2f} 0.00"
-                )
-            if np.linalg.norm(obs.agent_position[:2] - pos[:2]) <= INTERACT_RADIUS:
-                self.placed = True
-                return PlannerAction("place", self.subject.ref)
-            return PlannerAction("goto", f"{pos[0]:.2f} {pos[1]:.2f} 0.00")
-        pos = self._believed_position(ep.scene, self.subject)
+        pos = self._believed_position(ep.scene, self.target if holding else self.subject)
         if pos is None:
-            return PlannerAction(
-                "goto", f"{self.survey_xy[0]:.2f} {self.survey_xy[1]:.2f} 0.00"
-            )
-        if np.linalg.norm(obs.agent_position[:2] - pos[:2]) <= INTERACT_RADIUS:
-            return PlannerAction("pick", self.subject.ref)
-        return PlannerAction("goto", f"{pos[0]:.2f} {pos[1]:.2f} 0.00")
+            return self.survey
+        if np.linalg.norm(obs.agent_position[:2] - pos[:2]) > INTERACT_RADIUS:
+            return PlannerAction("goto", f"{pos[0]:.2f} {pos[1]:.2f} 0.00")
+        if holding:
+            self.placed = True
+            return PlannerAction("place", self.subject.ref)
+        return PlannerAction("pick", self.subject.ref)
 
 
 def make_swap_scenario(seed: int, feature_dim: int = 16):
@@ -244,6 +232,7 @@ def make_swap_scenario(seed: int, feature_dim: int = 16):
         SimObject,
         build_category_embeddings,
         default_intrinsics,
+        pick_place_task,
     )
 
     rng = np.random.default_rng(seed)
@@ -279,16 +268,7 @@ def make_swap_scenario(seed: int, feature_dim: int = 16):
         embed_seed=cfg.embed_seed, categories_pool=tuple(cats),
         colors_pool=tuple(colors),
     )
-    task = TaskSpec(
-        f"put the {a.ref} near the {b.ref}", a.oid, b.oid,
-        plan=(
-            PlannerAction("goto", a.ref),
-            PlannerAction("pick", a.ref),
-            PlannerAction("goto", b.ref),
-            PlannerAction("place", a.ref),
-            PlannerAction("done", ""),
-        ),
-    )
+    task = pick_place_task(a, b)
     disturbance = Disturbance(after_step=0, kind="swap", object_a=a.oid, object_b=c.oid)
     survey_eye = corner + np.array([0.0, 0.0, EYE_HEIGHT])
     init_views = [(default_intrinsics(), look_at_pose(survey_eye, centroid))]
@@ -310,31 +290,16 @@ class Disturbance:
     new_center: np.ndarray | None = None
 
     def apply(self, world: WorldState) -> WorldState:
+        if self.kind not in ("swap", "move"):
+            raise SceneFusionError(f"unknown disturbance kind {self.kind!r}")
+        a = world.object_by_id(self.object_a)
         if self.kind == "swap":
-            a = world.object_by_id(self.object_a)
             b = world.object_by_id(self.object_b)
-            ca, cb = a.center.copy(), b.center.copy()
-            new_a = replace(a, center=np.array([cb[0], cb[1], a.size[2] / 2]))
-            new_b = replace(b, center=np.array([ca[0], ca[1], b.size[2] / 2]))
-            objs = []
-            for o in world.objects:
-                if o.oid == a.oid:
-                    objs.append(new_a)
-                elif o.oid == b.oid:
-                    objs.append(new_b)
-                else:
-                    objs.append(o)
-            return replace(world, objects=tuple(objs))
-        if self.kind == "move":
-            a = world.object_by_id(self.object_a)
-            center = np.asarray(self.new_center, dtype=np.float64)
-            return replace(
-                world,
-                objects=tuple(
-                    replace(o, center=center) if o.oid == a.oid else o for o in world.objects
-                ),
-            )
-        raise SceneFusionError(f"unknown disturbance kind {self.kind!r}")
+            moved = {a.oid: replace(a, center=np.array([b.center[0], b.center[1], a.size[2] / 2])),
+                     b.oid: replace(b, center=np.array([a.center[0], a.center[1], b.size[2] / 2]))}
+        else:
+            moved = {a.oid: replace(a, center=np.asarray(self.new_center, dtype=np.float64))}
+        return replace(world, objects=tuple(moved.get(o.oid, o) for o in world.objects))
 
 
 @dataclass

@@ -219,13 +219,6 @@ def save_grid(grid: VoxelGrid, path) -> None:
     save_artifact(path, "grid", meta, arrays)
 
 
-def load_grid(path) -> VoxelGrid:
-    kind, meta, arrays = load_artifact(path)
-    if kind != "grid":
-        raise ArtifactFormatError(f"expected a grid artifact, got {kind!r}")
-    return _grid_from_payload(path, meta, arrays)
-
-
 def save_scene(state: SceneState, path) -> None:
     meta, arrays = _grid_payload(state.grid)
     meta["t"] = state.t

@@ -29,18 +29,6 @@ from .voxelizer import GridLayout, VoxelClusterConfig, VoxelGrid, grid_layout, v
 
 
 @dataclass(frozen=True)
-class AggregatePoints:
-    """World-frame union of frames: positions and raw features."""
-
-    positions: np.ndarray  # N x 3
-    features: np.ndarray  # N x D
-
-    @property
-    def n_points(self) -> int:
-        return self.positions.shape[0]
-
-
-@dataclass(frozen=True)
 class SceneState:
     grid: VoxelGrid
     t: int = 0
@@ -50,8 +38,9 @@ class SceneState:
         return self.grid.layout
 
 
-def aggregate_frames(frames: list[Frame3D]) -> AggregatePoints:
-    """Concatenate frames into one world-frame point set (no deduplication).
+def aggregate_frames(frames: list[Frame3D]) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenate frames into one world-frame point set (no deduplication):
+    N x 3 positions and N x D raw features.
 
     Point order is frame order then per-frame point order, so re-aggregation
     is bit-reproducible.
@@ -65,7 +54,7 @@ def aggregate_frames(frames: list[Frame3D]) -> AggregatePoints:
     features = np.concatenate([f.features for f in frames], axis=0)
     if positions.shape[0] == 0:
         raise EmptyInputError("aggregate_frames: frames contain no points")
-    return AggregatePoints(positions=positions, features=features)
+    return positions, features
 
 
 def points_to_grid(positions: np.ndarray, features: np.ndarray, layout: GridLayout,
@@ -87,9 +76,9 @@ def init_scene(
 ) -> SceneState:
     """Aggregate frames, freeze the layout over their bounds (or the explicit
     bounds), and voxelize."""
-    agg = aggregate_frames(frames)
-    layout = grid_layout(agg.positions, resolution, explicit_bounds)
-    return SceneState(grid=points_to_grid(agg.positions, agg.features, layout, cfg), t=0)
+    positions, features = aggregate_frames(frames)
+    layout = grid_layout(positions, resolution, explicit_bounds)
+    return SceneState(grid=points_to_grid(positions, features, layout, cfg), t=0)
 
 
 def frame_to_grid(

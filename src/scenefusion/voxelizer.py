@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EmptyInputError, OutOfBoundsError
+from .errors import ConfigError, EmptyInputError
 
 # Element budget of one block of row differences in _row_distances (8 MB).
 _DIFF_BLOCK = 1 << 20
@@ -88,13 +88,10 @@ class GridLayout:
 @dataclass(frozen=True)
 class VoxelClusterConfig:
     k: int = 5
-    metric: str = "euclidean"
 
     def __post_init__(self):
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
-        if self.metric != "euclidean":
-            raise ConfigError(f"unsupported metric {self.metric!r}")
 
 
 @dataclass(frozen=True, init=False)
@@ -194,24 +191,6 @@ def grid_layout(points: np.ndarray, resolution: float, explicit_bounds=None) -> 
     # the max point's own cell, by the rule every later placement uses
     top, _ = GridLayout(origin, r, (1, 1, 1)).locate(pts.max(axis=0))
     return GridLayout(origin, r, tuple(top[0] + 1))
-
-
-def assign_voxels(points: np.ndarray, layout: GridLayout) -> np.ndarray:
-    """Map each point to its voxel index triple (`GridLayout.locate`).
-
-    Raises OutOfBoundsError listing offending point indices when a point lands
-    outside the grid.
-    """
-    idx, inside = layout.locate(points)
-    bad = np.flatnonzero(~inside)
-    if bad.size:
-        head = ", ".join(str(i) for i in bad[:10])
-        more = f" (+{bad.size - 10} more)" if bad.size > 10 else ""
-        raise OutOfBoundsError(
-            f"{bad.size} points outside grid bounds; offending indices: {head}{more}",
-            offenders=bad.tolist(),
-        )
-    return idx
 
 
 def semantic_block(vectors: np.ndarray) -> np.ndarray:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import json
 import warnings
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -556,17 +557,8 @@ INSTRUCTION_KINDS = (
 
 
 def _unique_ref_objects(world: WorldState) -> list[SimObject]:
-    refs: dict[str, int] = {}
-    for o in world.objects:
-        refs[o.ref] = refs.get(o.ref, 0) + 1
+    refs = Counter(o.ref for o in world.objects)
     return [o for o in world.objects if refs[o.ref] == 1]
-
-
-def _category_counts(world: WorldState) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for o in world.objects:
-        counts[o.category] = counts.get(o.category, 0) + 1
-    return counts
 
 
 def box_text(obj: SimObject) -> str:
@@ -599,7 +591,7 @@ def gen_instructions(world: WorldState, kinds, count: int, seed: int) -> list[In
             raise ConfigError(f"unknown instruction kind {k!r}")
     rng = np.random.default_rng(seed)
     scene_ref = f"world-{world.seed}"
-    counts = _category_counts(world)
+    counts = Counter(o.category for o in world.objects)
     unique_objs = _unique_ref_objects(world)
     records: list[InstructionRecord] = []
 
@@ -704,26 +696,29 @@ def check_goal(world: WorldState, task: TaskSpec) -> bool:
     return float(np.linalg.norm(a.center - b.center)) <= NEAR_DISTANCE
 
 
+def pick_place_task(a: SimObject, b: SimObject) -> TaskSpec:
+    """The task "put the <a> near the <b>" with its ground-truth plan: go to
+    a, pick it up, go to b, place it, done."""
+    from .interact import PlannerAction  # local import; interact depends on us
+
+    plan = (
+        PlannerAction("goto", a.ref),
+        PlannerAction("pick", a.ref),
+        PlannerAction("goto", b.ref),
+        PlannerAction("place", a.ref),
+        PlannerAction("done", ""),
+    )
+    return TaskSpec(f"put the {a.ref} near the {b.ref}", a.oid, b.oid, plan)
+
+
 def gen_tasks(world: WorldState, seed: int) -> list[TaskSpec]:
     """Pick-and-place tasks over unambiguous object pairs, with ground-truth
     plans valid under apply_action semantics."""
-    from .interact import PlannerAction  # local import; interact depends on us
-
     uniq = _unique_ref_objects(world)
     rng = np.random.default_rng(seed)
     pairs = [(a, b) for a in uniq for b in uniq if a.oid != b.oid]
     rng.shuffle(pairs)
-    tasks = []
-    for a, b in pairs:
-        plan = (
-            PlannerAction("goto", a.ref),
-            PlannerAction("pick", a.ref),
-            PlannerAction("goto", b.ref),
-            PlannerAction("place", a.ref),
-            PlannerAction("done", ""),
-        )
-        tasks.append(TaskSpec(f"put the {a.ref} near the {b.ref}", a.oid, b.oid, plan))
-    return tasks
+    return [pick_place_task(a, b) for a, b in pairs]
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from scenefusion.io_formats import (
     load_artifact,
     load_checkpoint,
     load_frame,
-    load_grid,
+    load_grid_or_scene,
     load_scene,
     save_checkpoint,
     save_frame,
@@ -477,7 +477,7 @@ class TestCriterion9Persistence:
 
         gpath = tmp_path / "grid.bin"
         save_grid(state.grid, gpath)
-        back_grid = load_grid(gpath)
+        back_grid = load_grid_or_scene(gpath)
         assert np.array_equal(back_grid.features, state.grid.features)
         assert np.array_equal(back_grid.visibility, state.grid.visibility)
 

@@ -1,13 +1,14 @@
 """CLI surface: subcommand behavior, cross-command consistency, exit codes,
 and byte-identical reruns."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from scenefusion.cli import main
-from scenefusion.io_formats import load_artifact, load_grid, save_artifact
+from scenefusion.io_formats import load_artifact, load_grid_or_scene, save_artifact
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +45,7 @@ class TestBasicCommands:
         grid_out = tmp_path / "grid.bin"
         assert main(["voxelize", "--in", str(frame_out), "--r", "0.25",
                      "--out", str(grid_out)]) == 0
-        grid = load_grid(grid_out)
+        grid = load_grid_or_scene(grid_out)
         capsys.readouterr()
         assert main(["tokens", "--in", str(grid_out)]) == 0
         printed = int(capsys.readouterr().out.strip())
@@ -71,7 +72,7 @@ class TestBasicCommands:
         pts = tmp_path / "points.txt"
         assert main(["pca", "dump", "--in", str(grid_out), "--out", str(pts)]) == 0
         lines = pts.read_text().strip().splitlines()
-        assert len(lines) == load_grid(grid_out).n_visible
+        assert len(lines) == load_grid_or_scene(grid_out).n_visible
         vals = np.array([[float(x) for x in ln.split()] for ln in lines])
         assert vals.shape[1] == 6
         assert vals[:, 3:].min() >= 0.0 and vals[:, 3:].max() <= 1.0
@@ -238,3 +239,97 @@ class TestDatagenTrainEval:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ConfigError: ")
         assert not ckpt.exists()
+
+
+class TestFlagValidation:
+    @pytest.mark.parametrize("argv, code", [
+        (["ablate", "resolution", "--world", "{world}", "--values", "0.3,abc"], 1),
+        (["ablate", "views", "--world", "{world}", "--values", ""], 1),
+        (["render", "--world", "{world}", "--out", "{out}", "--view", "-1"], 2),
+        (["frame", "build", "--world", "{world}", "--out", "{out}", "--view", "-1"], 2),
+        (["eval", "qa", "--checkpoint", "{out}", "--data", "{out}", "--limit", "-2"], 2),
+        (["episode", "run", "--world", "{world}", "--out", "{out}", "--planner", "oracle",
+          "--budget", "-2"], 2),
+        (["episode", "run", "--world", "{world}", "--out", "{out}", "--planner", "oracle",
+          "--disturb-swap", "0", "1", "--disturb-after", "-1"], 2),
+    ])
+    def test_bad_values_fail_cleanly(self, world_file, tmp_path, capsys, argv, code):
+        # unparsable sweep values are a ConfigError (exit 1), negative counts
+        # and indices a usage error (exit 2); neither writes an output
+        out = tmp_path / "out"
+        argv = [a.format(world=world_file, out=out) for a in argv]
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        err = capsys.readouterr().err
+        assert rc == code
+        assert err.startswith("error: ConfigError: --values") if code == 1 else "usage:" in err
+        assert not out.exists()
+
+
+# The CLI chain short of training, run in an empty directory, with the
+# sha256 of each file it writes and of its joined stdout. Refactors must keep
+# every one of these bytes; a change that alters an output on purpose re-pins
+# the digests it moves and says why.
+BYTE_CHAIN = [
+    ["world", "gen", "--out", "world.json", "--objects", "4", "--seed", "3"],
+    ["render", "--world", "world.json", "--out", "render.bin", "--view", "2"],
+    ["frame", "build", "--world", "world.json", "--out", "frame.bin"],
+    ["frame", "build", "--world", "world.json", "--out", "frame1.bin", "--view", "1",
+     "--n-views", "6"],
+    ["frame", "build", "--world", "world.json", "--out", "camera.bin", "--coord", "camera"],
+    ["voxelize", "--in", "frame.bin", "--r", "0.25", "--out", "grid.bin"],
+    ["tokens", "--in", "grid.bin", "--out", "tokens.bin"],
+    ["scene", "init", "--world", "world.json", "--out", "scene.bin", "--r", "0.25",
+     "--n-views", "6"],
+    ["scene", "update", "--scene", "scene.bin", "--frame", "frame1.bin", "--out", "scene1.bin"],
+    ["tokens", "--in", "scene1.bin", "--out", "scene-tokens.bin"],
+    ["pca", "dump", "--in", "scene1.bin", "--out", "pca.txt"],
+    ["datagen", "--out", "data", "--worlds", "2", "--objects", "3", "--per-kind", "2",
+     "--heldout", "2", "--n-views", "4", "--frame-views", "1"],
+    ["episode", "run", "--world", "world.json", "--out", "oracle.json", "--planner", "oracle",
+     "--r", "0.25", "--n-views", "4", "--frames-dir", "frames"],
+    ["episode", "run", "--world", "world.json", "--out", "belief.json", "--planner", "belief",
+     "--r", "0.25", "--n-views", "4", "--disturb-swap", "0", "1", "--disturb-after", "1"],
+    ["ablate", "views", "--world", "world.json", "--values", "2,6", "--r", "0.25",
+     "--out", "ablate.json"],
+]
+BYTE_CHAIN_STDOUT = "287a2b61d8d1b95675b966154381003adff3d989304febb1498a2c0b52a88f61"
+BYTE_CHAIN_FILES = {
+    "ablate.json": "67bc70f92ff0c861675a827dfdbf08f031062a7bbac3ba011610592d6e1b9f8f",
+    "belief.json": "0ddde619906d575f87eae4660f80d2c001ca0cdfcf71bacf3eb0f8916d55efbe",
+    "camera.bin": "11706ce38cbecccd00284de6864f6af02b2574fd2bf1766f4dd3745757456261",
+    "data/meta.json": "3a476c307b345f17d8002e56d5462bdd3904e2616bc181afe4961ae4beea3c39",
+    "data/records.jsonl": "04eaf2dbc61d5ba0fc9301a1c4a41190f11b551259a20765367a6d7aa9292b37",
+    "data/worlds/world-0.json": "393d949a44a87e1a3dcd05a52708f168340f6421621680ca7bfd12cf8037bde3",
+    "data/worlds/world-1.json": "f47b41572f72892401b0d6ca0e2fd7fb83fc79d32f1758c7525c739141d38ab0",
+    "frame.bin": "37b2c45d7fbb303f3108941a4fa7ec7ede03701b79340f0878bad2a194954634",
+    "frame1.bin": "561bc9449a7fc559e0d243fa6b2eb896b8ee3206d4d80fa0ce7d92a7c67493bc",
+    "frames/frame-000.bin": "412b80ce0d0f5e97cac58ad1d765c892d45bc1933bf7e0e321055d750ad901ee",
+    "frames/frame-001.bin": "7458bba6816737b340451254d2431384e3f0ee06c0e0f274e03d7add7e53242a",
+    "frames/frame-002.bin": "015b9982fe68022d80d6e1cf12675fc4bf8a6996f2f27fbc5a386fbcc6f83fd4",
+    "frames/frame-003.bin": "284b5f9033299639a2a99fc56207a03f206627bca5f149786b986e01fe48f990",
+    "frames/frame-004.bin": "75f27834391b57eb56117df88eca2aec7721694849f1b263ea5ff8eb1364c6a7",
+    "grid.bin": "9370d641ebf59788a3cc89c707f88330b0c1423a2c839377608cc4b855d613d9",
+    "oracle.json": "ec822bd751c2ddcad2df06828e532858c7fdc63bc21007c6520705849bdf108c",
+    "pca.txt": "badc2ed98e23f2d1f44a8551e9ad6d114a4452adc3b865d62d7ddb630c8637fd",
+    "render.bin": "419ba5566bd602d1eea08b454f6645725df9f12a3c7fda3f89ee0c35795d30be",
+    "scene-tokens.bin": "e3bbb9827ea5879c5702122a74a3b2a44aecc69e048e85889f91a627c3042f8e",
+    "scene.bin": "5c87179b938e5d7d04c16c0d562e4794ba10ce61390ecbc63a527a7bdffa5533",
+    "scene1.bin": "79522d31debf621c5a8e348781cdccec953475c21ff512d362007784f758c5a7",
+    "tokens.bin": "6646edd96bc8da793574d04e5638d192c4ac74c5e43a197f7e61fff900840121",
+    "world.json": "347dc54e1b4bed7255ec1670987b91659b1da6addfeee011655fc90c88e4ec2e",
+}
+
+
+def test_cli_chain_outputs_are_byte_identical(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    stdout = []
+    for argv in BYTE_CHAIN:
+        assert main(argv) == 0, argv
+        stdout.append(capsys.readouterr().out)
+    files = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+             for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+    assert files == BYTE_CHAIN_FILES
+    assert hashlib.sha256("".join(stdout).encode()).hexdigest() == BYTE_CHAIN_STDOUT

@@ -8,7 +8,6 @@ from scenefusion.geometry import (
     CameraIntrinsics,
     DepthImage,
     Pose,
-    invert_pose,
     look_at_pose,
     project_to_pixels,
     to_world,
@@ -136,25 +135,6 @@ class TestToWorld:
         d_in = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
         d_out = np.linalg.norm(out[:, None] - out[None, :], axis=-1)
         np.testing.assert_allclose(d_out, d_in, rtol=1e-9, atol=1e-12)
-
-
-class TestInvertPose:
-    def test_identity(self):
-        inv = invert_pose(Pose.identity())
-        np.testing.assert_array_equal(inv.rotation, np.eye(3))
-        np.testing.assert_array_equal(inv.translation, np.zeros(3))
-
-    def test_pure_translation(self):
-        inv = invert_pose(Pose(np.eye(3), [1.0, -2.0, 3.0]))
-        np.testing.assert_allclose(inv.translation, [-1.0, 2.0, -3.0])
-
-    def test_round_trip_on_random_points(self):
-        rng = np.random.default_rng(3)
-        pose = _random_pose(rng)
-        inv = invert_pose(pose)
-        pts = rng.normal(size=(100, 3)) * 5.0
-        back = to_world(to_world(pts, pose), inv)
-        np.testing.assert_allclose(back, pts, atol=1e-9)
 
 
 class TestLookAt:

@@ -11,9 +11,10 @@ from scenefusion.align.model import AlignmentModel, ModelConfig, generate, init_
 from scenefusion.align.sequence import assemble_sequence
 from scenefusion.align.training import TrainConfig, train
 from scenefusion.align.vocab import build_vocab
-from scenefusion.datagen import frame_from_view, frame_tokens, scene_tokens
-from scenefusion.errors import EpisodeFailure
+from scenefusion.datagen import frame_from_view, frame_tokens
+from scenefusion.errors import EpisodeFailure, SceneFusionError
 from scenefusion.interact import (
+    Disturbance,
     EpisodeState,
     GridBeliefPlanner,
     OraclePlanner,
@@ -26,7 +27,7 @@ from scenefusion.interact import (
     run_episode,
 )
 from scenefusion.scene import update_scene
-from scenefusion.voxelizer import VoxelClusterConfig
+from scenefusion.voxelizer import VoxelClusterConfig, token_matrix
 from scenefusion.worldsim import (
     WorldConfig,
     base_vocab_words,
@@ -104,7 +105,7 @@ class TestPlanStepContract:
 
     def _model(self, scene, word):
         vocab = build_vocab([self.TASK], extra_words=base_vocab_words())
-        width = scene_tokens(scene).shape[1]
+        width = scene.grid.feature_dim
         cfg = ModelConfig(vocab_size=len(vocab), h=8, n_layers=1, n_heads=2, ff=16,
                           max_len=512, proj_in=width, proj_mid=4)
         params = {k: np.zeros_like(v) for k, v in init_params(cfg).items()}
@@ -282,6 +283,22 @@ class TestDisturbanceAblation:
         moved = dist.apply(world)
         np.testing.assert_allclose(moved.object_by_id(dist.object_a).center[:2], c0[:2])
         np.testing.assert_allclose(moved.object_by_id(dist.object_b).center[:2], a0[:2])
+        for before, after in zip(world.objects, moved.objects, strict=True):
+            assert after.oid == before.oid
+            assert after is before or before.oid in (dist.object_a, dist.object_b)
+
+    def test_move_disturbance_moves_only_its_object(self):
+        world, _, _, _ = make_swap_scenario(3)
+        moved = Disturbance(0, "move", 1, new_center=[1.0, 2.0, 0.15]).apply(world)
+        np.testing.assert_array_equal(moved.object_by_id(1).center, [1.0, 2.0, 0.15])
+        for before, after in zip(world.objects, moved.objects, strict=True):
+            assert after.oid == before.oid
+            assert after is before or before.oid == 1
+
+    def test_unknown_disturbance_kind_raises(self):
+        world, _, _, _ = make_swap_scenario(3)
+        with pytest.raises(SceneFusionError, match="unknown disturbance kind 'teleport'"):
+            Disturbance(0, "teleport", 99).apply(world)
 
 
 class TestEpisodeGridGolden:
@@ -316,7 +333,7 @@ class TestEpisodeGridGolden:
 @pytest.fixture(scope="module")
 def plan_model():
     """Tiny model fine-tuned on templated next-step records."""
-    from scenefusion.datagen import scene_from_world, scene_tokens
+    from scenefusion.datagen import scene_from_world
 
     records = []
     worlds = []
@@ -327,7 +344,7 @@ def plan_model():
             continue
         worlds.append(w)
         state, _ = scene_from_world(w, 0.25, CFG, n_views=4, seed=0)
-        tokens = scene_tokens(state)
+        _, tokens = token_matrix(state.grid)
         task = tasks[0]
         completed = []
         for action in task.plan:
@@ -361,7 +378,7 @@ class TestModelPlanning:
         tasks = gen_tasks(w, seed=0)
         assert tasks
         task = tasks[0]
-        from scenefusion.datagen import scene_from_world, scene_tokens
+        from scenefusion.datagen import scene_from_world
 
         state, _ = scene_from_world(w, 0.25, CFG, n_views=4, seed=0)
         ep = EpisodeState(state, task.text, (), "", 10)

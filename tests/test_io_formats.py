@@ -18,7 +18,7 @@ from scenefusion.io_formats import (
     load_artifact,
     load_checkpoint,
     load_frame,
-    load_grid,
+    load_grid_or_scene,
     load_scene,
     save_artifact,
     save_checkpoint,
@@ -194,7 +194,7 @@ class TestBadGridFiles:
     def _assert_rejected(self, tmp_path, kind, meta, arrays, match):
         path = tmp_path / f"bad-{kind}.bin"
         save_artifact(path, kind, meta, arrays)
-        loader = load_grid if kind == "grid" else load_scene
+        loader = load_grid_or_scene if kind == "grid" else load_scene
         with pytest.raises(ArtifactFormatError, match=match) as info:
             loader(path)
         assert str(path) in str(info.value)
@@ -258,7 +258,7 @@ class TestTypedArtifacts:
         _, _, state = sample
         gpath, spath = tmp_path / "g.bin", tmp_path / "s.bin"
         save_grid(state.grid, gpath)
-        grid = load_grid(gpath)
+        grid = load_grid_or_scene(gpath)
         np.testing.assert_array_equal(grid.features, state.grid.features)
         np.testing.assert_array_equal(grid.visibility, state.grid.visibility)
         assert grid.layout.dims == state.layout.dims
@@ -274,7 +274,7 @@ class TestTypedArtifacts:
         grid = VoxelGrid(layout, np.zeros((2, 2, 2, 7)), np.zeros((2, 2, 2), dtype=bool))
         path = tmp_path / "empty.bin"
         save_grid(grid, path)
-        back = load_grid(path)
+        back = load_grid_or_scene(path)
         np.testing.assert_array_equal(back.features, grid.features)
         assert back.n_visible == 0
 
@@ -365,4 +365,4 @@ class TestTypedArtifacts:
         path = tmp_path / "frame.bin"
         save_frame(frame, path)
         with pytest.raises(ArtifactFormatError, match="expected a grid"):
-            load_grid(path)
+            load_grid_or_scene(path)

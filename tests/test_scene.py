@@ -46,24 +46,24 @@ def _random_frame(rng, n, lo=0.0, hi=1.0, d=4):
 class TestAggregate:
     def test_single_frame_returns_own_points(self):
         f = _frame([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
-        agg = aggregate_frames([f])
-        np.testing.assert_array_equal(agg.positions, f.positions)
-        np.testing.assert_array_equal(agg.features, f.features)
+        positions, features = aggregate_frames([f])
+        np.testing.assert_array_equal(positions, f.positions)
+        np.testing.assert_array_equal(features, f.features)
 
     def test_two_disjoint_frames_concatenate(self):
         f1 = _frame([[0.0, 0.0, 0.0]])
         f2 = _frame([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
-        agg = aggregate_frames([f1, f2])
-        assert agg.n_points == 3
-        np.testing.assert_array_equal(agg.positions[:1], f1.positions)
-        np.testing.assert_array_equal(agg.positions[1:], f2.positions)
+        positions, features = aggregate_frames([f1, f2])
+        assert positions.shape == (3, 3) and features.shape == (3, 4)
+        np.testing.assert_array_equal(positions[:1], f1.positions)
+        np.testing.assert_array_equal(positions[1:], f2.positions)
 
     def test_camera_frames_convert_via_pose(self):
         pose = Pose(np.eye(3), [5.0, 0.0, 0.0])
         f = Frame3D(np.array([[1.0, 0.0, 0.0]]), np.zeros((1, 3)), np.ones((1, 4)),
                     pose, "camera", [0])
-        agg = aggregate_frames([f])
-        np.testing.assert_array_equal(agg.positions, [[6.0, 0.0, 0.0]])
+        positions, _ = aggregate_frames([f])
+        np.testing.assert_array_equal(positions, [[6.0, 0.0, 0.0]])
 
     def test_empty_list_raises(self):
         with pytest.raises(EmptyInputError):
@@ -293,7 +293,7 @@ class TestSimulatorScenes:
         world = gen_world(WorldConfig(n_objects=4), seed=17)
         views = capture_views(world, 20, seed=0)
         frames = [frame_from_view(world, iv, pv) for iv, pv in views]
-        agg = aggregate_frames(frames)
+        positions, _ = aggregate_frames(frames)
         # independent union: per-view unprojection + transform, concatenated
         parts = []
         for iv, pv in views:
@@ -301,8 +301,8 @@ class TestSimulatorScenes:
             _, cam_pts = unproject(rr.depth, iv)
             parts.append(to_world(cam_pts, pv))
         expected = np.concatenate(parts, axis=0)
-        assert agg.n_points == len(expected)
-        np.testing.assert_array_equal(agg.positions, expected)
+        assert len(positions) == len(expected)
+        np.testing.assert_array_equal(positions, expected)
 
     def test_init_scene_matches_brute_force_pipeline(self):
         from oracles import brute_voxelize
@@ -315,11 +315,10 @@ class TestSimulatorScenes:
         views = capture_views(world, 3, seed=0)
         frames = [frame_from_view(world, iv, pv) for iv, pv in views]
         state = init_scene(frames, 0.25, CFG)
-        agg = aggregate_frames(frames)
+        positions, features = aggregate_frames(frames)
         layout = state.layout
-        vectors = feature_vectors(agg.positions, agg.features,
-                                  layout.box_min, layout.box_max)
-        feats, vis = brute_voxelize(agg.positions, vectors, layout.origin,
+        vectors = feature_vectors(positions, features, layout.box_min, layout.box_max)
+        feats, vis = brute_voxelize(positions, vectors, layout.origin,
                                     layout.dims, 0.25, CFG.k)
         np.testing.assert_array_equal(state.grid.visibility, vis)
         np.testing.assert_array_equal(state.grid.features, feats)

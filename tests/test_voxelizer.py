@@ -6,12 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from scenefusion.errors import ConfigError, EmptyInputError, OutOfBoundsError
+from scenefusion.errors import ConfigError, EmptyInputError
 from scenefusion.voxelizer import (
     GridLayout,
     VoxelClusterConfig,
     VoxelGrid,
-    assign_voxels,
     cluster_voxel,
     exact_mean,
     grid_layout,
@@ -46,7 +45,7 @@ class TestGridLayout:
         pts = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
         layout = grid_layout(pts, 0.5)
         assert layout.dims == (3, 3, 3)
-        assign_voxels(pts, layout)  # must not raise
+        assert layout.locate(pts)[1].all()
 
     def test_matches_minmax_oracle(self):
         rng = np.random.default_rng(0)
@@ -72,7 +71,7 @@ class TestGridLayout:
         pts = np.array([[lo, lo, lo], [lo + 1.0, 0.3, lo + 0.05]])
         layout = grid_layout(pts, r)
         assert layout.locate(pts)[1].all()
-        assign_voxels(pts, layout)  # must not raise
+        assert layout.locate(pts)[1].all()
         bounded = grid_layout(None, r, explicit_bounds=(pts[0], pts[0] + 1.0))
         assert bounded.locate(pts[:1])[1].all()
         assert np.all(bounded.origin <= pts[0])
@@ -93,29 +92,32 @@ class TestGridLayout:
             assert np.all(bounded.origin <= pts.min(axis=0)), (trial, r)
 
 
-class TestAssignVoxels:
+class TestLocate:
     def test_origin_point(self):
         layout = GridLayout(np.zeros(3), 0.1, (2, 2, 2))
-        idx = assign_voxels(np.array([[0.0, 0.0, 0.0]]), layout)
+        idx, inside = layout.locate(np.array([[0.0, 0.0, 0.0]]))
         np.testing.assert_array_equal(idx, [[0, 0, 0]])
+        assert inside.all()
 
     def test_half_open_boundary(self):
         layout = GridLayout(np.zeros(3), 0.1, (2, 1, 1))
-        idx = assign_voxels(np.array([[0.1, 0.0, 0.0]]), layout)
+        idx, inside = layout.locate(np.array([[0.1, 0.0, 0.0]]))
         np.testing.assert_array_equal(idx, [[1, 0, 0]])
+        assert inside.all()
 
-    def test_out_of_bounds_lists_offenders(self):
+    def test_out_of_bounds_points_are_flagged_outside(self):
         layout = GridLayout(np.zeros(3), 0.1, (1, 1, 1))
         pts = np.array([[0.05, 0.05, 0.05], [0.5, 0.0, 0.0], [-0.2, 0.0, 0.0]])
-        with pytest.raises(OutOfBoundsError) as exc:
-            assign_voxels(pts, layout)
-        assert exc.value.offenders == [1, 2]
+        idx, inside = layout.locate(pts)
+        np.testing.assert_array_equal(inside, [True, False, False])
+        np.testing.assert_array_equal(idx, [[0, 0, 0], [5, 0, 0], [-2, 0, 0]])
 
     def test_matches_floor_oracle(self):
         rng = np.random.default_rng(1)
         pts = rng.uniform(-1.0, 2.0, size=(200, 3))
         layout = grid_layout(pts, 0.3)
-        idx = assign_voxels(pts, layout)
+        idx, inside = layout.locate(pts)
+        assert inside.all()
         expected = brute_assign(pts, layout.origin, 0.3)
         assert [tuple(i) for i in idx] == expected
 
@@ -239,7 +241,7 @@ class TestVoxelize:
         positions, vectors = _vectors(rng, 60, d=4, spread=0.4)
         layout = grid_layout(positions, 0.2)
         grid = voxelize(positions, vectors, layout, VoxelClusterConfig(k=3))
-        idx = assign_voxels(positions, layout)
+        idx, _ = layout.locate(positions)
         for coord in np.argwhere(grid.visibility):
             members = np.all(idx == coord, axis=1)
             lo = vectors[members].min(axis=0) - 1e-12
