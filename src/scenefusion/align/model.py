@@ -34,13 +34,32 @@ layer's keys and values. Every later `forward_logits` call on the sequence
 `generate` built computes one new row per layer against those keys and
 values (relative bias `rel[:, t-j]`, position embedding `pos[t]`); the
 visual prefix is packed and projected only once. Any other sequence gets the
-full recompute. A cached row's logits may differ from a full recompute by
-rounding (at most about 1e-12); the greedy tokens are checked to be equal.
+full recompute.
+
+Attention is causal, so a prompt's scene prefix (`<bos> [3d] v_1 ... v_K
+[/3d]`, the rows up to the [/3d] after the last visual slot) has keys and
+values that do not depend on the question after it. The module keeps one
+entry: copies of those rows' keys, values and logits from the last prompt
+pass over a scene prefix. The next `generate` call reuses them when it has
+the same model object, equal prefix tokens and byte-equal visuals and
+parameters (bytes, not identity: prompts slice their visuals anew, and
+`adamw_step` updates parameters in place); its prompt pass then computes
+only the rows after the prefix. A prompt with no visual slot, or nothing
+after the [/3d], neither stores nor reuses. The entry is replaced, never
+changed in place, so concurrent callers at worst miss a reuse.
+
+Contract: a prompt pass that misses is the plain full pass, bit for bit.
+On a hit, and on every row computed against cached keys and values, the
+logits are within 1e-12 of a full recompute (rounding differs with the
+number of rows a matmul or a softmax sum covers) and the greedy tokens are
+the same. So a hit's logits depend, within rounding, on the call that
+stored the entry; the generated text does not.
 """
 
 from __future__ import annotations
 
 import hashlib
+import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -510,14 +529,74 @@ class _DecodeState:
         self.values = [np.empty(shape) for _ in range(cfg.n_layers)]
         self.logits = np.empty((horizon, cfg.vocab_size))
 
+    def fork(self, shared: "_SharedPrefix", tokens: np.ndarray) -> None:
+        """Take the shared prefix's rows as this state's first rows."""
+        p = len(shared.logits)
+        for mine, theirs in zip(self.keys + self.values, shared.keys + shared.values):
+            mine[:, :, :p] = theirs
+        self.logits[:p] = shared.logits
+        self.tokens[:p] = tokens[:p]
+        self.n = p
+
     def continues(self, model: AlignmentModel, seq: TokenSequence) -> bool:
         """Whether `seq` is this state's rows plus new ones: same model and
-        visuals, and either no row yet or exactly `seq.tokens[:-1]` cached."""
-        t = len(seq)
+        visuals, and either no row yet or the cached rows a prefix of
+        `seq.tokens` whose new rows hold no visual slot."""
+        t, n = len(seq), self.n
         if model is not self.model or seq.visuals is not self.visuals or t > len(self.tokens):
             return False
-        return self.n == 0 or (
-            self.n == t - 1 and np.array_equal(self.tokens[: self.n], seq.tokens[:-1]))
+        # bytes and list compares: a ufunc call per decoded token costs more
+        return n == 0 or (
+            n < t and self.tokens[:n].tobytes() == seq.tokens[:n].tobytes()
+            and VISUAL_SLOT not in seq.tokens[n:].tolist())
+
+
+def _shared_length(prompt: TokenSequence, close_id: int) -> int:
+    """Rows of `prompt` up to and including the [/3d] right after its last
+    visual slot; 0 when it has no visual slot or nothing after that [/3d]."""
+    slots = np.flatnonzero(prompt.tokens == VISUAL_SLOT)
+    if not slots.size:
+        return 0
+    p = int(slots[-1]) + 2
+    if p >= len(prompt) or prompt.tokens[p - 1] != close_id:
+        return 0
+    return p
+
+
+def _bytes_of(arr: np.ndarray) -> tuple:
+    return arr.dtype.str, arr.shape, arr.tobytes()
+
+
+class _SharedPrefix:
+    """Copies of a prompt pass's first rows (keys, values and logits) and
+    the key they are valid for: the model object, the prefix tokens, and the
+    bytes of the visuals and of every parameter."""
+
+    def __init__(self, model: AlignmentModel, prompt: TokenSequence, state: _DecodeState, p: int,
+                 before: "_SharedPrefix | None"):
+        self.model = weakref.ref(model)  # the entry does not keep a model alive
+        self.tokens = prompt.tokens[:p].tobytes()
+        self.visuals = _bytes_of(prompt.visuals)
+        # the entry before, if its parameter copy still holds, lends it
+        self.params = (before.params if before is not None and before.same_params(model)
+                       else {k: _bytes_of(v) for k, v in model.params.items()})
+        self.keys = [k[:, :, :p].copy() for k in state.keys]
+        self.values = [v[:, :, :p].copy() for v in state.values]
+        self.logits = state.logits[:p].copy()
+
+    def same_params(self, model: AlignmentModel) -> bool:
+        # bytes, not identity: adamw_step updates parameter arrays in place
+        return (model is self.model() and model.params.keys() == self.params.keys()
+                and all(_bytes_of(v) == self.params[k] for k, v in model.params.items()))
+
+    def matches(self, model: AlignmentModel, prompt: TokenSequence, p: int) -> bool:
+        # cheapest first; the parameters last
+        return (p == len(self.logits) and prompt.tokens[:p].tobytes() == self.tokens
+                and _bytes_of(prompt.visuals) == self.visuals and self.same_params(model))
+
+
+# The one shared prefix: the last scene prefix `generate` computed.
+_shared_prefix: _SharedPrefix | None = None
 
 
 @dataclass(frozen=True)
@@ -530,8 +609,8 @@ class _DecodeSequence(TokenSequence):
 def forward_logits(model: AlignmentModel, seq: TokenSequence) -> np.ndarray:
     """(T, vocab) logits for one sequence; row i predicts the token at i+1.
 
-    On a sequence built by `generate` whose decode state covers exactly
-    `seq.tokens[:-1]`, only the last row is computed.
+    On a sequence built by `generate` whose decode state covers a prefix of
+    `seq.tokens`, only the rows after that prefix are computed.
     """
     state = getattr(seq, "state", None)
     if state is None or not state.continues(model, seq):
@@ -542,7 +621,7 @@ def forward_logits(model: AlignmentModel, seq: TokenSequence) -> np.ndarray:
     if t0 == 0:
         batch = pack_batch([seq], model.vocab.pad_id)
     else:
-        # the new rows are generated text tokens: no visual slot, no loss
+        # the new rows are text tokens (`continues` checked): no visual slot, no loss
         new = seq.tokens[None, t0:]
         none = np.zeros(new.shape, dtype=bool)
         batch = PackedBatch(new, none, np.zeros((0, 1)), none, np.array([t]))
@@ -557,15 +636,26 @@ def generate(prefix: TokenSequence, model: AlignmentModel, max_len: int = 32) ->
     """Greedily extend a prompt until <eos> or max_len new tokens.
 
     Ties break toward the lowest token id (argmax semantics). Returns the
-    generated words (specials stripped). Each new token is one
-    `forward_logits` call on the whole sequence so far (see the module
-    docstring for what it computes).
+    generated words (specials stripped). Each new token, and the closing
+    <eos>, is one `forward_logits` call on the whole sequence so far.
+    When the prompt's scene prefix (its rows up to the [/3d] after the last
+    visual slot) equals the last one computed, for the same model object
+    with byte-equal visuals and parameters, the first call computes only the
+    rows after it; otherwise the first call is the plain full pass, and its
+    prefix rows replace the one stored entry. See the module docstring for
+    what each call computes and how close the logits are to a full pass.
     """
+    global _shared_prefix
     if prefix.loss_mask.any():
         raise ConfigError("generation prefix must end before the answer region")
     tokens = prefix.tokens.tolist()
     state = _DecodeState(model, prefix.visuals,
                          min(model.cfg.max_len, len(tokens) + max(max_len, 0)))
+    to_share = _shared_length(prefix, model.vocab.vis_close_id)
+    shared = _shared_prefix
+    if to_share and shared is not None and shared.matches(model, prefix, to_share):
+        state.fork(shared, prefix.tokens)
+        to_share = 0
     generated: list[int] = []
     eos = model.vocab.eos_id
     for _ in range(max_len):
@@ -574,6 +664,9 @@ def generate(prefix: TokenSequence, model: AlignmentModel, max_len: int = 32) ->
         seq = _DecodeSequence(np.array(tokens, dtype=np.int64), prefix.visuals,
                               np.zeros(len(tokens), dtype=bool), state)
         logits = forward_logits(model, seq)
+        if to_share and state.n >= to_share:  # the prompt pass filled the state
+            _shared_prefix = _SharedPrefix(model, prefix, state, to_share, shared)
+            to_share = 0
         nxt = int(np.argmax(logits[-1]))
         if nxt == eos:
             break

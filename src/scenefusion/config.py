@@ -7,6 +7,7 @@ Desk-scale numbers keep everything CPU-trainable in minutes.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, fields
 
@@ -47,8 +48,8 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.resolution <= 0:
-            raise ConfigError("resolution must be positive")
+        if not (math.isfinite(self.resolution) and self.resolution > 0):
+            raise ConfigError(f"resolution must be finite and positive, got {self.resolution}")
         if self.knn_k < 1:
             raise ConfigError("knn_k must be >= 1")
         if self.feature_dim < 4:

@@ -26,7 +26,7 @@ import numpy as np
 from .align.model import AlignmentModel, generate
 from .align.sequence import SEQ_KIND_FRAME, SEQ_KIND_SCENE, assemble_sequence
 from .datagen import frame_from_view, frame_tokens, room_scene
-from .errors import EpisodeFailure, SceneFusionError
+from .errors import ConfigError, EpisodeFailure, SceneFusionError
 from .frame import Frame3D
 from .scene import SceneState, update_scene
 from .voxelizer import VoxelClusterConfig, token_matrix
@@ -289,9 +289,20 @@ class Disturbance:
     object_b: int = -1
     new_center: np.ndarray | None = None
 
-    def apply(self, world: WorldState) -> WorldState:
+    def check(self, world: WorldState) -> None:
+        """Raise ConfigError unless the kind is known and `world` holds every
+        object the disturbance names."""
         if self.kind not in ("swap", "move"):
-            raise SceneFusionError(f"unknown disturbance kind {self.kind!r}")
+            raise ConfigError(f"unknown disturbance kind {self.kind!r}")
+        ids = [o.oid for o in world.objects]
+        named = (self.object_a, self.object_b) if self.kind == "swap" else (self.object_a,)
+        missing = [oid for oid in named if oid not in ids]
+        if missing:
+            raise ConfigError(f"disturbance names object ids {missing} the world lacks "
+                              f"(it has {sorted(ids)})")
+
+    def apply(self, world: WorldState) -> WorldState:
+        self.check(world)
         a = world.object_by_id(self.object_a)
         if self.kind == "swap":
             b = world.object_by_id(self.object_b)
@@ -346,8 +357,12 @@ def run_episode(
     Success means the planner declared DONE and the simulator's goal predicate
     holds. Rejected actions are recorded and replanning continues. With
     scene_updates off the grid stays frozen at its initial state ("w/o scene");
-    with egocentric off the frame description is omitted from prompts.
+    with egocentric off the frame description is omitted from prompts. A
+    disturbance of unknown kind, or naming an object the world lacks, raises
+    ConfigError before the first step.
     """
+    if disturbance is not None:
+        disturbance.check(world)
     cfg = cluster_cfg or VoxelClusterConfig()
     if init_views is None:
         init_views = capture_views(world, n_views, seed)

@@ -50,6 +50,11 @@ _DIFF_BLOCK = 1 << 20
 _FEW_ROWS = 10
 
 
+def _check_resolution(resolution) -> None:
+    if not (math.isfinite(resolution) and resolution > 0):
+        raise ConfigError(f"resolution must be finite and positive, got {resolution}")
+
+
 @dataclass(frozen=True)
 class GridLayout:
     origin: np.ndarray  # 3-vector, componentwise multiple of resolution
@@ -57,8 +62,7 @@ class GridLayout:
     dims: tuple[int, int, int]
 
     def __post_init__(self):
-        if self.resolution <= 0:
-            raise ConfigError(f"resolution must be positive, got {self.resolution}")
+        _check_resolution(self.resolution)
         if any(d < 1 for d in self.dims):
             raise ConfigError(f"grid dims must be >= 1, got {self.dims}")
         object.__setattr__(self, "origin", np.asarray(self.origin, dtype=np.float64).reshape(3))
@@ -173,8 +177,7 @@ def grid_layout(points: np.ndarray, resolution: float, explicit_bounds=None) -> 
     built from: `locate` reports all of them inside. Explicit bounds keep
     [min, max) on each axis, so points at the max may fall outside.
     """
-    if resolution <= 0:
-        raise ConfigError(f"resolution must be positive, got {resolution}")
+    _check_resolution(resolution)
     r = float(resolution)
     if explicit_bounds is not None:
         box_min = np.asarray(explicit_bounds[0], dtype=np.float64).reshape(3)

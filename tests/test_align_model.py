@@ -3,6 +3,8 @@ recomputation, finite-difference gradients, loss-mask soundness, causality,
 and cached greedy decoding against full recomputation."""
 
 import hashlib
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -25,7 +27,14 @@ from scenefusion.align.model import (
     pack_batch,
 )
 from scenefusion.align.sequence import TokenSequence, assemble_sequence
-from scenefusion.align.training import STAGE1, STAGE2, trainable_prefixes
+from scenefusion.align.training import (
+    STAGE1,
+    STAGE2,
+    AdamWState,
+    TrainConfig,
+    adamw_step,
+    trainable_prefixes,
+)
 from scenefusion.align.vocab import build_vocab
 from scenefusion.errors import ConfigError
 
@@ -341,6 +350,52 @@ def _cached_decode(monkeypatch, prefix, model, max_len):
     return out, calls
 
 
+def _decode_rows(monkeypatch, prefix, model, max_len):
+    """`generate`'s text, the logits of each `forward_logits` call it made,
+    and the rows its decode state held when the first call began: the
+    shared scene prefix's length on a hit, 0 on a miss."""
+    logits_seen, held = [], []
+    full = model_module.forward_logits
+
+    def spy(m, seq):
+        held.append(seq.state.n)
+        logits = full(m, seq)
+        logits_seen.append(logits.copy())
+        return logits
+
+    monkeypatch.setattr(model_module, "forward_logits", spy)
+    out = generate(prefix, model, max_len=max_len)
+    monkeypatch.setattr(model_module, "forward_logits", full)
+    return out, logits_seen, held[0] if held else None
+
+
+def _same_scene(rng, vocab, prefix):
+    """Another question, as many words long, about `prefix`'s scene (a
+    copy of its visuals, so only their bytes match)."""
+    n_instr = len(prefix) - prefix.n_visual - 3
+    instr = " ".join(rng.choice(list(vocab.words[5:]), size=n_instr))
+    return assemble_sequence("scene", prefix.visuals.copy(), instr, "",
+                             vocab).prefix_before_answer()
+
+
+def _assert_matches_full_recompute(monkeypatch, prompt, model, max_len):
+    """Decode `prompt` and check it against a loop of full passes: the same
+    text, one call per pass, logits within 1e-12 and the same greedy token
+    per call, and a miss's prompt pass bit for bit. Returns the rows the
+    first call found cached."""
+    ids, passes = _reference_decode(prompt, model, max_len)
+    out, seen, held = _decode_rows(monkeypatch, prompt, model, max_len)
+    assert out == model.vocab.decode(ids)
+    assert len(seen) == len(passes)
+    for logits, ref in zip(seen, passes):
+        assert logits.shape == ref.shape
+        assert np.max(np.abs(logits - ref)) <= 1e-12
+        assert np.argmax(logits[-1]) == np.argmax(ref[-1])
+    if held == 0:
+        np.testing.assert_array_equal(seen[0], passes[0])
+    return held
+
+
 def _decode_cases(vocab):
     """(model, prompt, max_len): 20 seeded random cases, then the edges."""
     cases = []
@@ -387,15 +442,33 @@ class TestCachedDecode:
         assert len(_cached_decode(monkeypatch, single, model, 1)[1]) == 1
 
     def test_call_count_is_tokens_plus_eos(self, vocab, monkeypatch):
-        stopped_at_eos = ran_out = 0
+        """Cold, and again warm: each case's scene asked a second question."""
+        stopped_at_eos = ran_out = warm = 0
+        rng = np.random.default_rng(11)
         for model, prefix, max_len in _decode_cases(vocab):
-            ids, passes = _reference_decode(prefix, model, max_len)
-            out, calls = _cached_decode(monkeypatch, prefix, model, max_len)
-            eos = bool(passes) and int(np.argmax(passes[-1][-1])) == vocab.eos_id
-            assert len(calls) == len(ids) + eos == len(passes)
-            stopped_at_eos += eos
-            ran_out += not eos
+            for prompt in (prefix, _same_scene(rng, vocab, prefix)):
+                ids, passes = _reference_decode(prompt, model, max_len)
+                out, calls, held = _decode_rows(monkeypatch, prompt, model, max_len)
+                eos = bool(passes) and int(np.argmax(passes[-1][-1])) == vocab.eos_id
+                assert len(calls) == len(ids) + eos == len(passes)
+                stopped_at_eos += eos
+                ran_out += not eos
+                warm += bool(held)
         assert stopped_at_eos and ran_out
+        assert warm >= 10
+
+    def test_warm_calls_match_full_recompute(self, vocab, monkeypatch):
+        """Each case's scene asked a second question reuses the first one's
+        prefix and still emits what full passes emit, within 1e-12."""
+        rng = np.random.default_rng(12)
+        warm = 0
+        for model, prefix, max_len in _decode_cases(vocab):
+            assert _assert_matches_full_recompute(monkeypatch, prefix, model, max_len) == 0
+            again = _same_scene(rng, vocab, prefix)
+            held = _assert_matches_full_recompute(monkeypatch, again, model, max_len)
+            assert held in (0, prefix.n_visual + 3)
+            warm += bool(held)
+        assert warm >= 10
 
     def test_other_sequences_get_the_full_pass(self, vocab, monkeypatch):
         """A sequence whose decode state does not cover exactly its tokens but
@@ -439,3 +512,103 @@ class TestCachedDecode:
                 seq = _prompt(rng, vocab, n_vis, int(rng.integers(1, 12)))
                 h.update(forward_logits(model, seq).tobytes())
         assert h.hexdigest() == GOLDEN_FULL_PASS
+
+
+def _flip_one_bit(visuals, rng):
+    """A copy of the visuals with the lowest mantissa bit of one entry flipped."""
+    out = visuals.copy()
+    out.reshape(-1).view(np.int64)[int(rng.integers(out.size))] ^= 1
+    return out
+
+
+class TestSharedPrefix:
+    """`generate` keeps the last scene prefix's rows and reuses them only for
+    the same model object with equal prefix tokens and byte-equal visuals and
+    parameters; with or without the reuse it emits what a loop of full passes
+    emits."""
+
+    def test_reuse_matches_full_recompute_on_20_models(self, vocab, monkeypatch):
+        for seed in range(20):
+            rng = np.random.default_rng(500 + seed)
+            model = _decode_model(vocab, seed)
+            n_vis = int(rng.integers(1, 6))
+            scene = _prompt(rng, vocab, n_vis, int(rng.integers(1, 6)))
+            p = n_vis + 3  # <bos> [3d] v_1 .. v_K [/3d]
+            max_len = int(rng.integers(1, 20))
+
+            def ask(prompt, m=model):
+                return _assert_matches_full_recompute(monkeypatch, prompt, m, max_len)
+
+            def question(visuals=scene.visuals):
+                instr = " ".join(rng.choice(list(vocab.words[5:]), size=int(rng.integers(1, 6))))
+                return assemble_sequence("scene", visuals.copy(), instr, "",
+                                         vocab).prefix_before_answer()
+
+            assert ask(scene) == 0  # a new model object: cold
+            # the same scene asked repeatedly; the prompts differ only after [/3d]
+            for _ in range(3):
+                assert ask(question()) == p
+            assert ask(scene) == p
+            # one visual bit differs: a miss, which then holds that scene
+            flipped = _flip_one_bit(scene.visuals, rng)
+            assert ask(question(flipped)) == 0
+            assert ask(question(flipped)) == p
+            assert ask(question()) == 0
+            # another model object with equal weights misses, and so does the
+            # first one after it
+            twin = model.with_params(model.params)
+            assert ask(question(), twin) == 0
+            assert ask(question()) == 0
+            # a prompt with no visual slot neither stores nor reuses
+            text_only = _prompt(rng, vocab, 0, int(rng.integers(1, 6)))
+            assert ask(text_only) == 0
+            assert ask(question()) == p
+            # weights changed in place between two calls (one AdamW step)
+            grads = gradients(_random_seq(rng, vocab), model)
+            adamw_step(model.params, grads, AdamWState(), TrainConfig(stage=STAGE2), 0.05)
+            assert ask(question()) == 0
+            assert ask(question()) == p
+
+    def test_prefix_ends_at_the_close_after_the_last_visual(self, vocab):
+        rng = np.random.default_rng(3)
+        close = vocab.vis_close_id
+        assert model_module._shared_length(_prompt(rng, vocab, 4, 2), close) == 7
+        assert model_module._shared_length(_prompt(rng, vocab, 0, 2), close) == 0
+        # nothing after the [/3d]: nothing to share
+        assert model_module._shared_length(_prompt(rng, vocab, 4, 0), close) == 0
+        # a visual slot that no [/3d] follows
+        bare = TokenSequence(np.array([vocab.bos_id, -1, 7, 8]), np.zeros((1, 7)),
+                             np.zeros(4, dtype=bool))
+        assert model_module._shared_length(bare, close) == 0
+
+    def test_concurrent_callers_get_the_full_pass_text(self, vocab):
+        """Four threads, two per model and scene, replace and fork the one
+        entry under each other: each answer is still the full-pass text."""
+        jobs = []
+        for seed in range(2):
+            rng = np.random.default_rng(700 + seed)
+            model = _decode_model(vocab, seed)
+            scene = rng.normal(size=(int(rng.integers(1, 6)), 7))
+            words = list(vocab.words[5:])
+            prompts = [assemble_sequence("scene", scene, " ".join(rng.choice(words, 3)), "",
+                                         vocab).prefix_before_answer() for _ in range(4)]
+            want = [vocab.decode(_reference_decode(p, model, 8)[0]) for p in prompts]
+            jobs += [(model, prompts, want), (model, prompts[::-1], want[::-1])]
+        wrong = []
+
+        def ask(model, prompts, want):
+            for _ in range(10):
+                wrong.extend(p for p, w in zip(prompts, want) if generate(p, model, max_len=8) != w)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ask, args=job) for job in jobs]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert wrong == []

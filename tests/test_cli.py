@@ -267,6 +267,27 @@ class TestFlagValidation:
         assert err.startswith("error: ConfigError: --values") if code == 1 else "usage:" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["ablate", "resolution", "--world", "{world}", "--values", "nan"],
+         "resolution must be finite and positive, got nan"),
+        (["ablate", "resolution", "--world", "{world}", "--values", "0.3,-inf"],
+         "resolution must be finite and positive, got -inf"),
+        (["scene", "init", "--world", "{world}", "--out", "{out}", "--r", "inf"],
+         "resolution must be finite and positive, got inf"),
+        (["episode", "run", "--world", "{world}", "--out", "{out}", "--planner", "oracle",
+          "--disturb-swap", "0", "9"], "disturbance names object ids [9] the world lacks"),
+    ])
+    def test_bad_resolution_or_object_id_is_an_error_line(self, world_file, tmp_path, capsys,
+                                                          argv, message):
+        out = tmp_path / "out"
+        rc = main([a.format(world=world_file, out=out) for a in argv])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error: ConfigError: ")
+        assert message in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
 
 # The CLI chain short of training, run in an empty directory, with the
 # sha256 of each file it writes and of its joined stdout. Refactors must keep

@@ -55,3 +55,9 @@ def test_load_config_reads_through_the_same_rules(tmp_path):
     path.write_text(json.dumps({"hidden": 64}))
     with pytest.raises(ConfigError, match="hidden"):
         load_config(path)
+
+
+@pytest.mark.parametrize("r", [0.0, float("nan"), float("inf")])
+def test_resolution_must_be_finite_and_positive(r):
+    with pytest.raises(ConfigError, match="finite and positive"):
+        RunConfig(resolution=r)

@@ -2,6 +2,7 @@
 prompts, the episode harness, and the scene-update ablation."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from scenefusion.align.sequence import assemble_sequence
 from scenefusion.align.training import TrainConfig, train
 from scenefusion.align.vocab import build_vocab
 from scenefusion.datagen import frame_from_view, frame_tokens
-from scenefusion.errors import EpisodeFailure, SceneFusionError
+from scenefusion.errors import ConfigError, EpisodeFailure, SceneFusionError
 from scenefusion.interact import (
     Disturbance,
     EpisodeState,
@@ -294,6 +295,22 @@ class TestDisturbanceAblation:
         for before, after in zip(world.objects, moved.objects, strict=True):
             assert after.oid == before.oid
             assert after is before or before.oid == 1
+
+    @pytest.mark.parametrize("dist, missing", [
+        (Disturbance(0, "swap", 0, 9), "[9]"),
+        (Disturbance(0, "swap", 7, 8), "[7, 8]"),
+        (Disturbance(0, "move", 9, new_center=[1.0, 1.0, 0.1]), "[9]"),
+    ])
+    def test_unknown_object_ids_raise_before_the_first_step(self, monkeypatch, dist, missing):
+        world, task, _, init_views = make_swap_scenario(3)
+
+        def no_scene(*args, **kwargs):
+            raise AssertionError("the episode started")
+
+        monkeypatch.setattr(interact, "room_scene", no_scene)
+        with pytest.raises(ConfigError, match=re.escape(f"object ids {missing} the world lacks")):
+            run_episode(world, task, planner=GridBeliefPlanner(world, task),
+                        disturbance=dist, init_views=init_views)
 
     def test_unknown_disturbance_kind_raises(self):
         world, _, _, _ = make_swap_scenario(3)

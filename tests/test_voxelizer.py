@@ -422,6 +422,15 @@ class TestInvariants:
         self._rejected([0, 1], np.ones(2), "do not pair")
         self._rejected([0, 1], np.ones((2, 4, 1)), "do not pair")
 
+    @pytest.mark.parametrize("r", [0.0, -0.1, np.nan, np.inf, -np.inf])
+    def test_resolution_must_be_finite_and_positive(self, r):
+        with pytest.raises(ConfigError, match=f"finite and positive, got {r}"):
+            GridLayout(np.zeros(3), r, (1, 1, 1))
+        with pytest.raises(ConfigError, match=f"finite and positive, got {r}"):
+            grid_layout(np.zeros((2, 3)), r)
+        with pytest.raises(ConfigError, match=f"finite and positive, got {r}"):
+            grid_layout(None, r, explicit_bounds=(np.zeros(3), np.ones(3)))
+
     def test_k_must_be_positive(self):
         with pytest.raises(ConfigError):
             VoxelClusterConfig(k=0)
