@@ -19,23 +19,49 @@ CAMERA_FRAME = "camera"
 WORLD_FRAME = "world"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FeatureImage:
-    """H x W x D array of per-pixel semantic features."""
+    """H x W x D per-pixel features: H x W ids into a K x D table of finite rows
+    (a render's table is the zero row of a miss plus one row per object). A
+    dense image is ids = arange over its pixels; `values` is a fresh read-only
+    dense array on each access."""
 
-    values: np.ndarray
+    ids: np.ndarray  # H x W int64, each in [0, K)
+    table: np.ndarray  # K x D
 
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
+    def __init__(self, values):
+        v = np.asarray(values, dtype=np.float64)
         if v.ndim != 3 or v.shape[2] < 1:
             raise ConfigError(f"feature image must be HxWxD with D >= 1, got {v.shape}")
-        if not np.all(np.isfinite(v)):
+        h, w, d = v.shape
+        self._store(np.arange(h * w).reshape(h, w), v.reshape(h * w, d))
+
+    @classmethod
+    def from_table(cls, ids, table) -> "FeatureImage":
+        image = cls.__new__(cls)
+        image._store(np.asarray(ids, dtype=np.int64), np.asarray(table, dtype=np.float64))
+        return image
+
+    def _store(self, ids: np.ndarray, table: np.ndarray) -> None:
+        if ids.ndim != 2 or table.ndim != 2 or table.shape[1] < 1:
+            raise ConfigError(f"feature image needs H x W ids and a K x D table with D >= 1, "
+                              f"got {ids.shape} and {table.shape}")
+        if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
+            raise ConfigError(f"feature image ids must lie in [0, {table.shape[0]})")
+        if not np.all(np.isfinite(table)):
             raise ConfigError("feature image contains non-finite entries")
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "table", table)
+
+    @property
+    def values(self) -> np.ndarray:
+        dense = self.table[self.ids]
+        dense.flags.writeable = False
+        return dense
 
     @property
     def dim(self) -> int:
-        return self.values.shape[2]
+        return self.table.shape[1]
 
 
 @dataclass(frozen=True)
@@ -98,8 +124,8 @@ def build_frame(
     color = np.asarray(color, dtype=np.float64)
     if color.shape != (depth.height, depth.width, 3):
         raise ConfigError(f"color image shape {color.shape} does not match depth")
-    if feats.values.shape[:2] != (depth.height, depth.width):
-        raise ConfigError(f"feature image shape {feats.values.shape} does not match depth")
+    if feats.ids.shape != (depth.height, depth.width):
+        raise ConfigError(f"feature image shape {feats.ids.shape} does not match depth")
     pixel_idx, cam_points = unproject(depth, intr)
     vs, us = pixel_idx // intr.width, pixel_idx % intr.width
     if coord_frame == WORLD_FRAME:
@@ -111,7 +137,7 @@ def build_frame(
     return Frame3D(
         positions=positions,
         colors=color[vs, us],
-        features=feats.values[vs, us],
+        features=feats.table[feats.ids[vs, us]],
         pose=pose,
         coord_frame=coord_frame,
         pixel_indices=pixel_idx,

@@ -15,23 +15,27 @@ Determinism rules, pinned so independent implementations agree bit-exactly:
 the neighbor set includes every point tied at the k-th smallest distance (so
 identical points always form one component, with no arbitrary tie choice),
 the largest-cluster tie breaks toward the smallest member index, and cluster
-means use correctly-rounded per-column summation (math.fsum) over members in
-ascending point-index order, which makes the feature bits independent of
-input point order. A nonzero column whose members all hold the same value x
-(the semantic block of a box world, usually) skips fsum: its correctly
-rounded sum is fl(n * x). Zero columns still go through fsum, because the
-sign of its zero sum need not be that of n * x.
+means are correctly rounded per-column sums (math.fsum) over the members
+divided by their count, which makes the feature bits independent of input
+point order.
 
-Clustering works on a voxel's distinct rows, not its points. Bit-identical
-semantic rows form one class a with count c_a; a voxel whose points all share
-one row is a single component. Otherwise the graph is built over the u
-classes: the radius of class a is the k'-th smallest of (c_a - 1) zeros plus
-c_b copies of d(a, b) for every other class b, which is exactly the k'-th
-nearest distance of any of a's points, and classes a and b are joined iff
-d(a, b) <= min(radius_a, radius_b). Every point of a class lands in the class's
-component. Squared distances are (a - b).(a - b) as in the brute-force oracle,
-so equal rows are exactly 0 apart and tie decisions agree bit for bit. A voxel
-with a few objects' rows over hundreds of points then costs O(u^2), not O(M^2).
+`voxelize` makes one pass over the points sorted by voxel, in blocks of whole
+voxels. One bit compare of adjacent rows finds the columns each voxel varies
+in. Only voxels with two or more distinct semantic rows call `cluster_voxel`,
+and their largest cluster stands in for their points. Then one segmented rule
+gives every mean: a (voxel, column) of n copies of x sums to fl(n * x), or to
+fsum([x]) for a zero (fsum's sign rule, not n * x's); any other is fsum over
+its slice. So fsum is the only summation, and the bits are fsum(col) / n.
+
+Inside `cluster_voxel`, bit-identical semantic rows form one class a with
+count c_a, and the graph is built over the u classes: the radius of class a
+is the k'-th smallest of (c_a - 1) zeros plus c_b copies of d(a, b) for every
+other class b, which is exactly the k'-th nearest distance of any of a's
+points, and classes a and b are joined iff d(a, b) <= min(radius_a,
+radius_b). Every point of a class lands in the class's component. Squared
+distances are (a - b).(a - b) as in the brute-force oracle, so equal rows are
+exactly 0 apart and tie decisions agree bit for bit. A voxel with a few
+objects' rows over hundreds of points then costs O(u^2), not O(M^2).
 """
 
 from __future__ import annotations
@@ -46,8 +50,8 @@ from .errors import ConfigError, EmptyInputError
 
 # Element budget of one block of row differences in _row_distances (8 MB).
 _DIFF_BLOCK = 1 << 20
-# exact_mean sums every column with fsum below this many rows.
-_FEW_ROWS = 10
+# voxelize works on blocks of whole voxels of about this many points (bounded memory).
+_BLOCK_POINTS = 2048
 
 
 def _check_resolution(resolution) -> None:
@@ -63,8 +67,13 @@ class GridLayout:
 
     def __post_init__(self):
         _check_resolution(self.resolution)
-        if any(d < 1 for d in self.dims):
+        if any(not d >= 1 for d in self.dims):
             raise ConfigError(f"grid dims must be >= 1, got {self.dims}")
+        # flat voxel indices (i*Y + j)*Z + k are int64, and voxelize sorts on them
+        if any(math.isinf(d) for d in self.dims) or math.prod(int(d) for d in self.dims) >= 2**63:
+            shape = " x ".join(f"{d:.4g}" for d in self.dims)
+            raise ConfigError(f"resolution {self.resolution} gives a {shape} grid, more voxels "
+                              "than int64 indices can number")
         object.__setattr__(self, "origin", np.asarray(self.origin, dtype=np.float64).reshape(3))
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
 
@@ -81,11 +90,15 @@ class GridLayout:
         x, y, z = self.dims
         return x * y * z
 
-    def locate(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each point's voxel index triple floor((p - origin)/r), and whether
-        that voxel lies in the grid (0 <= idx < dims on every axis)."""
+    def cells(self, points: np.ndarray) -> np.ndarray:
+        """Each point's voxel index triple floor((p - origin)/r), as floats."""
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-        idx = np.floor((pts - self.origin) / self.resolution).astype(np.int64)
+        return np.floor((pts - self.origin) / self.resolution)
+
+    def locate(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each point's voxel index triple (`cells` as int64), and whether
+        that voxel lies in the grid (0 <= idx < dims on every axis)."""
+        idx = self.cells(points).astype(np.int64)
         return idx, np.all((idx >= 0) & (idx < self.dims), axis=1)
 
 
@@ -185,15 +198,15 @@ def grid_layout(points: np.ndarray, resolution: float, explicit_bounds=None) -> 
         if np.any(box_max < box_min):
             raise ConfigError("explicit bounds have max < min")
         origin = _snap_down(box_min, r)
-        dims = np.maximum(np.ceil((box_max - origin) / r).astype(np.int64), 1)
-        return GridLayout(origin, r, tuple(dims))
+        dims = np.maximum(np.ceil((box_max - origin) / r), 1)
+        return GridLayout(origin, r, tuple(dims.tolist()))
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     if pts.shape[0] == 0:
         raise EmptyInputError("grid_layout needs points or explicit bounds")
     origin = _snap_down(pts.min(axis=0), r)
     # the max point's own cell, by the rule every later placement uses
-    top, _ = GridLayout(origin, r, (1, 1, 1)).locate(pts.max(axis=0))
-    return GridLayout(origin, r, tuple(top[0] + 1))
+    top = GridLayout(origin, r, (1, 1, 1)).cells(pts.max(axis=0))[0]
+    return GridLayout(origin, r, tuple((top + 1).tolist()))
 
 
 def semantic_block(vectors: np.ndarray) -> np.ndarray:
@@ -287,32 +300,55 @@ def cluster_voxel(point_vectors: np.ndarray, cfg: VoxelClusterConfig) -> list[li
     return components
 
 
+def _varied_columns(rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """S x C: does column c change bits in rows[starts[j]:starts[j+1]] (-0.0 != 0.0)."""
+    bits = rows.view(np.uint64)
+    changed = np.empty(rows.shape, dtype=bool)
+    changed[0] = False
+    np.not_equal(bits[1:], bits[:-1], out=changed[1:])
+    changed[starts] = False  # a segment's first row changes nothing
+    return np.logical_or.reduceat(changed, starts, axis=0)
+
+
+def _segment_means(rows: np.ndarray, starts: np.ndarray, varied: np.ndarray) -> np.ndarray:
+    """Column means of each segment (see _varied_columns) by the segmented
+    rule of the module docstring: the bits of per-segment fsum(column) / n."""
+    counts = np.diff(starts, append=rows.shape[0])
+    first = rows[starts]
+    sums = first * counts[:, None]
+    zero = first == 0.0
+    sums[zero] = np.where(np.signbit(first[zero]), math.fsum([-0.0]), math.fsum([0.0]))
+    bounds = np.append(starts, rows.shape[0]).tolist()
+    for c in np.flatnonzero(varied.any(axis=0)).tolist():
+        col = memoryview(np.ascontiguousarray(rows[:, c]))  # slices yield floats, no list
+        segs = np.flatnonzero(varied[:, c]).tolist()
+        sums[segs, c] = [math.fsum(col[bounds[j]:bounds[j + 1]]) for j in segs]
+    return sums / counts[:, None]
+
+
 def exact_mean(rows: np.ndarray) -> np.ndarray:
-    """Correctly-rounded column means (fsum): bits independent of row order.
-
-    A nonzero column whose rows all hold one value x sums to fl(n * x), which
-    is the correctly rounded sum fsum returns, so only the other columns go
-    through fsum. Nonzero floats are equal exactly when their bits are, so
-    `==` finds those columns. Zero columns stay with fsum: on Python 3.11 it
-    sums copies of -0.0 to +0.0, where n * -0.0 is -0.0. Below _FEW_ROWS rows
-    (most voxels of a fine grid hold one point) every column goes through
-    fsum, because there finding the constant columns costs more than it saves.
-    """
+    """Correctly-rounded column means: the bits of fsum(column) / n, so they
+    do not depend on row order."""
     rows = np.asarray(rows, dtype=np.float64)
-    n = rows.shape[0]
-    if n < _FEW_ROWS:
-        return np.array([math.fsum(col) for col in rows.T.tolist()]) / n
-    first = rows[0]
-    varied = (first == 0.0) | (rows != first).any(axis=0)
-    sums = first * n
-    sums[varied] = [math.fsum(col) for col in rows.T[varied].tolist()]
-    return sums / n
+    one = np.zeros(1, dtype=np.int64)
+    return _segment_means(rows, one, _varied_columns(rows, one))[0]
 
 
-def _voxel_feature(vectors: np.ndarray, members: np.ndarray, cfg: VoxelClusterConfig) -> np.ndarray:
-    clusters = cluster_voxel(vectors[members], cfg)
-    largest = members[clusters[0]]  # members is index-sorted, clusters ascend
-    return exact_mean(vectors[largest])
+def _block_means(rows: np.ndarray, starts: np.ndarray, cfg: VoxelClusterConfig) -> np.ndarray:
+    """Features of whole voxels: rows sorted by voxel (index-ascending within
+    one), starts their first rows. Voxels of 2+ distinct semantic rows cluster."""
+    varied = _varied_columns(rows, starts)
+    multi = np.flatnonzero(semantic_block(varied).any(axis=1))
+    if multi.size:
+        ends = np.append(starts[1:], rows.shape[0])
+        keep = np.ones(rows.shape[0], dtype=bool)
+        for s, e in zip(starts[multi].tolist(), ends[multi].tolist()):
+            keep[s:e] = False
+            keep[s + np.asarray(cluster_voxel(rows[s:e], cfg)[0])] = True
+        starts = (np.cumsum(keep) - keep)[starts]  # kept rows ahead of each voxel
+        rows = rows[keep]
+        varied = _varied_columns(rows, starts)
+    return _segment_means(rows, starts, varied)
 
 
 def voxelize(
@@ -330,33 +366,30 @@ def voxelize(
     """
     positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
     vectors = np.asarray(vectors, dtype=np.float64)
-    if vectors.ndim != 2:
-        raise ConfigError(f"point vectors must be an N x D array, got shape {vectors.shape}")
+    semantic_block(vectors)  # N x (D+3) with D >= 1
     if vectors.shape[0] != positions.shape[0]:
         raise ConfigError("positions and point vectors disagree on count")
     n = positions.shape[0]
-    dims = layout.dims
-    feat_dim = vectors.shape[1]
     idx, inside = layout.locate(positions)
     kept_ids = np.flatnonzero(inside)
     if kept_ids.size < n:
         warnings.warn(f"dropped {n - kept_ids.size} of {n} points outside the grid layout",
                       stacklevel=2)
         idx = idx[kept_ids]
-    if kept_ids.size == 0:
-        return VoxelGrid.from_rows(layout, np.zeros(0, dtype=np.int64), np.zeros((0, feat_dim)))
-
-    flat = (idx[:, 0] * dims[1] + idx[:, 1]) * dims[2] + idx[:, 2]
+    flat = (idx[:, 0] * layout.dims[1] + idx[:, 1]) * layout.dims[2] + idx[:, 2]
     order = np.argsort(flat, kind="stable")  # stable: members stay index-ascending
     flat_sorted = flat[order]
-    boundaries = np.nonzero(np.diff(flat_sorted))[0] + 1
-    groups = np.split(kept_ids[order], boundaries)
-    group_flats = flat_sorted[np.concatenate([[0], boundaries])]
-
-    rows = np.empty((len(groups), feat_dim))
-    for row, members in zip(rows, groups):
-        row[:] = _voxel_feature(vectors, members, cfg)
-    return VoxelGrid.from_rows(layout, group_flats, rows)
+    starts = np.flatnonzero(np.diff(flat_sorted, prepend=-1))
+    point_ids = kept_ids[order]
+    bounds = np.append(starts, point_ids.size)
+    rows = np.empty((starts.size, vectors.shape[1]))
+    v = 0
+    while v < starts.size:  # blocks of whole voxels, about _BLOCK_POINTS points each
+        w = max(v + 1, int(np.searchsorted(bounds, bounds[v] + _BLOCK_POINTS, side="right")) - 1)
+        block = vectors[point_ids[bounds[v]:bounds[w]]]
+        rows[v:w] = _block_means(block, starts[v:w] - bounds[v], cfg)
+        v = w
+    return VoxelGrid.from_rows(layout, flat_sorted[starts], rows)
 
 
 def token_matrix(grid: VoxelGrid) -> tuple[np.ndarray, np.ndarray]:

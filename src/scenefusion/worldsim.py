@@ -306,7 +306,8 @@ def render(world: WorldState, intr: CameraIntrinsics, pose: Pose) -> RenderResul
     Depth is the distance along the optical axis; the per-pixel feature is the
     hit object's category embedding with its RGB color appended; misses are
     invalid pixels (depth 0, zero feature and color, id -1). Held objects do
-    not render.
+    not render. The feature image is the hit index + 1 into a table whose row
+    0 is the miss's zero row and row i + 1 is world.objects[i]'s feature.
 
     Each box is slab-tested only on its screen window: the bounding rectangle
     of its 8 projected corners, widened to [floor(min) - 2, ceil(max) + 3) and
@@ -346,23 +347,21 @@ def render(world: WorldState, intr: CameraIntrinsics, pose: Pose) -> RenderResul
     hit = np.flatnonzero(valid)
     hit_obj = best.reshape(-1)[hit]
     n_obj = len(world.objects)
-    feat_table = np.zeros((n_obj, world.feature_dim))
+    feat_table = np.zeros((n_obj + 1, world.feature_dim))  # row 0: a miss's zero feature
     color_table = np.zeros((n_obj, 3))
     for i, obj in enumerate(world.objects):
-        feat_table[i] = world.feature_of(obj)
+        feat_table[i + 1] = world.feature_of(obj)
         color_table[i] = COLOR_TABLE[obj.color]
     id_table = np.array([obj.oid for obj in world.objects], dtype=np.int64)
     depth_vals = np.zeros(h * w)
     depth_vals[hit] = best_t.reshape(-1)[hit]
-    feats = np.zeros((h * w, world.feature_dim))
-    feats[hit] = feat_table[hit_obj]
     colors = np.zeros((h * w, 3))
     colors[hit] = color_table[hit_obj]
     obj_ids = np.full(h * w, -1, dtype=np.int64)
     obj_ids[hit] = id_table[hit_obj]
     return RenderResult(
         depth=DepthImage(depth_vals.reshape(h, w), valid),
-        features=FeatureImage(feats.reshape(h, w, -1)),
+        features=FeatureImage.from_table(best + 1, feat_table),
         colors=colors.reshape(h, w, 3),
         object_ids=obj_ids.reshape(h, w),
     )

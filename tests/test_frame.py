@@ -27,6 +27,47 @@ def _inputs(rng, w=8, h=8, d=5, valid_frac=0.5):
     return DepthImage(vals, mask), color, FeatureImage(feats)
 
 
+class TestFeatureImage:
+    def test_dense_constructor_round_trips_bits(self):
+        feats = np.random.default_rng(4).normal(size=(3, 5, 2))
+        feats[0, 0] = [-0.0, 0.0]
+        image = FeatureImage(feats)
+        assert image.values.tobytes() == feats.tobytes()
+        assert image.ids.shape == (3, 5) and image.dim == 2
+
+    def test_values_is_the_table_gathered_by_id(self):
+        ids = np.array([[0, 2, 2], [1, 0, 2]])
+        table = np.array([[0.0, 0.0], [1.5, -2.0], [3.0, 4.0]])
+        image = FeatureImage.from_table(ids, table)
+        dense = image.values
+        assert dense.shape == (2, 3, 2)
+        for v, u in np.ndindex(2, 3):
+            assert dense[v, u].tobytes() == table[ids[v, u]].tobytes()
+        with pytest.raises(ValueError):
+            dense[0, 0, 0] = 1.0  # read-only, and a fresh array on each access
+        assert image.values is not dense
+
+    @pytest.mark.parametrize("ids, table", [
+        ([[0, 1]], [[0.0], [np.nan]]),  # non-finite entry, even on a row no pixel uses
+        ([[0, 1]], [[0.0], [np.inf]]),
+        ([[0, 2]], [[0.0], [1.0]]),  # id past the table
+        ([[-1, 0]], [[0.0], [1.0]]),  # negative id
+        ([0, 1], [[0.0], [1.0]]),  # ids of rank 1
+        ([[[0]]], [[0.0], [1.0]]),  # ids of rank 3
+        ([[0, 1]], [0.0, 1.0]),  # table of rank 1
+        ([[0, 1]], [[[0.0]], [[1.0]]]),  # table of rank 3
+        ([[0, 0]], np.zeros((1, 0))),  # D = 0
+    ])
+    def test_from_table_rejects(self, ids, table):
+        with pytest.raises(ConfigError):
+            FeatureImage.from_table(ids, table)
+
+    def test_dense_constructor_rejects(self):
+        for bad in (np.zeros((4, 4)), np.zeros((4, 4, 0)), np.full((2, 2, 3), np.nan)):
+            with pytest.raises(ConfigError):
+                FeatureImage(bad)
+
+
 class TestBuildFrame:
     def test_single_valid_pixel(self):
         vals = np.zeros((8, 8))

@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from scenefusion import voxelizer
 from scenefusion.errors import ConfigError, EmptyInputError
+from scenefusion.frame import build_frame, feature_vectors
 from scenefusion.voxelizer import (
     GridLayout,
     VoxelClusterConfig,
@@ -18,6 +20,7 @@ from scenefusion.voxelizer import (
     voxelize,
 )
 from scenefusion.scene import points_to_grid
+from scenefusion.worldsim import WorldConfig, capture_views, gen_world, render
 
 from oracles import brute_assign, brute_clusters, brute_layout, brute_voxelize
 
@@ -90,6 +93,17 @@ class TestGridLayout:
             assert layout.locate(pts)[1].all(), (trial, r, pts.min(axis=0))
             bounded = grid_layout(None, r, explicit_bounds=(pts.min(axis=0), pts.max(axis=0)))
             assert np.all(bounded.origin <= pts.min(axis=0)), (trial, r)
+
+
+    def test_rejects_layouts_whose_flat_indices_overflow_int64(self):
+        # a 3 x 4 x 2 m box at r = 1e-6 has 2.4e19 voxels; (i*Y + j)*Z + k would wrap
+        with pytest.raises(ConfigError, match="resolution 1e-06 gives a "):
+            grid_layout(None, 1e-6, explicit_bounds=([0, 0, 0], [3, 4, 2]))
+        with pytest.raises(ConfigError, match="resolution 1e-300 gives a "):
+            grid_layout(np.array([[0.0, 0.0, 0.0], [3.0, 4.0, 2.0]]), 1e-300)
+        with pytest.raises(ConfigError, match="more voxels than int64"):
+            GridLayout(np.zeros(3), 1.0, (2**21, 2**21, 2**21))
+        assert GridLayout(np.zeros(3), 1.0, (2**21, 2**21, 2**21 - 1)).n_voxels < 2**63
 
 
 class TestLocate:
@@ -283,6 +297,109 @@ class TestVoxelize:
             assert every.rows.tobytes() == only.rows.tobytes(), trial
 
 
+def _assert_oracle_bits(positions, vectors, r, k):
+    """voxelize against brute_voxelize, byte for byte (so -0.0 != +0.0)."""
+    layout = grid_layout(positions, r)
+    grid = voxelize(positions, vectors, layout, VoxelClusterConfig(k=k))
+    feats, vis = brute_voxelize(positions, vectors, layout.origin, layout.dims, r, k)
+    assert grid.visibility.tobytes() == vis.tobytes()
+    assert grid.features.tobytes() == feats.tobytes()
+
+
+def _palette_points(rng, palette, voxels, spread=0.3):
+    """Points in the given voxels of a lattice with r = 1, each voxel holding
+    (count, palette row ids to draw from); semantic rows come from palette."""
+    positions, rows = [], []
+    for cell, (count, choices) in voxels.items():
+        positions.append(np.array(cell) + 0.5 + rng.uniform(-spread, spread, size=(count, 3)))
+        rows.append(palette[rng.choice(choices, size=count)])
+    positions = np.concatenate(positions)
+    norm = (positions - positions.min(0)) / np.ptp(positions, axis=0)
+    return positions, np.concatenate([np.concatenate(rows), norm], axis=1)
+
+
+class TestSegmentedPass:
+    """The one-pass voxelizer: voxels whose semantic rows are all bit-identical
+    skip clustering, the others go through cluster_voxel, and all means come
+    from one segmented rule. Every case is checked against the oracle."""
+
+    @pytest.fixture
+    def cluster_calls(self, monkeypatch):
+        calls = []
+
+        def counted(point_vectors, cfg):
+            calls.append(len(point_vectors))
+            return cluster_voxel(point_vectors, cfg)
+
+        monkeypatch.setattr(voxelizer, "cluster_voxel", counted)
+        return calls
+
+    @pytest.mark.parametrize("r", [0.09, 0.18, 0.36])
+    def test_rendered_room_matches_oracle(self, r, cluster_calls):
+        world = gen_world(WorldConfig(n_objects=4), seed=13)
+        frames = [build_frame(rr.depth, rr.colors, rr.features, intr, pose)
+                  for intr, pose in capture_views(world, 3, seed=2)
+                  for rr in [render(world, intr, pose)]]
+        positions = np.concatenate([f.positions for f in frames])
+        features = np.concatenate([f.features for f in frames])
+        vectors = feature_vectors(positions, features, positions.min(0), positions.max(0))
+        _assert_oracle_bits(positions, vectors, r, 5)
+        # most voxels hold one object's row, so most skip clustering
+        assert len(cluster_calls) < grid_layout(positions, r).n_voxels
+
+    def test_duplicated_rows_and_signed_zeros(self, cluster_calls):
+        rng = np.random.default_rng(21)
+        palette = np.array([[0.0, 1.5, -0.0, 2.0],
+                            [-0.0, 1.5, -0.0, 2.0],  # differs from row 0 only in a zero's sign
+                            [0.0, 1.5, 0.0, 2.0],
+                            [-0.0, -0.0, -0.0, -0.0],
+                            [0.1, -0.0, 3.0, 1e-300],
+                            [5.0, 5.0, 5.0, 5.0]])
+        voxels = {(0, 0, 0): (40, [0]), (1, 0, 0): (1, [1]), (2, 0, 0): (30, [3]),
+                  (0, 1, 0): (25, [0, 1]), (1, 1, 0): (33, [0, 1, 2]), (2, 1, 0): (12, [4, 5]),
+                  (0, 0, 1): (9, [4, 5, 3]), (1, 0, 1): (17, [5]), (2, 0, 1): (2, [2, 3])}
+        positions, vectors = _palette_points(rng, palette, voxels)
+        _assert_oracle_bits(positions, vectors, 1.0, 3)
+        # both paths ran in one call: mixed voxels clustered, one-row voxels not
+        assert 0 < len(cluster_calls) < sum(count > 1 for count, _ in voxels.values())
+
+    def test_voxels_mixing_two_or_three_rows(self, cluster_calls):
+        rng = np.random.default_rng(22)
+        palette = rng.normal(size=(5, 6))
+        voxels = {}
+        for cell in np.ndindex(3, 3, 2):
+            count = int(rng.integers(1, 60))
+            voxels[cell] = (count, rng.choice(5, size=int(rng.integers(1, 4)), replace=False))
+        positions, vectors = _palette_points(rng, palette, voxels)
+        for k in (1, 4, 9):
+            _assert_oracle_bits(positions, vectors, 1.0, k)
+        assert cluster_calls
+
+    @pytest.mark.parametrize("block", [1, 5, 64])
+    def test_voxels_larger_than_a_block(self, block, monkeypatch):
+        monkeypatch.setattr(voxelizer, "_BLOCK_POINTS", block)
+        rng = np.random.default_rng(23)
+        palette = rng.normal(size=(4, 3))
+        voxels = {(0, 0, 0): (70, [0]), (1, 0, 0): (3, [1, 2]), (0, 1, 0): (90, [0, 3]),
+                  (1, 1, 0): (1, [2]), (1, 1, 1): (20, [1, 2, 3])}
+        positions, vectors = _palette_points(rng, palette, voxels)
+        _assert_oracle_bits(positions, vectors, 1.0, 4)
+
+    def test_voxel_larger_than_the_default_block(self):
+        # the oracle's O(m^2) clustering is too slow here; for one row and a few
+        # far outliers the largest cluster is known, so its fsum means are too
+        rng = np.random.default_rng(24)
+        m = voxelizer._BLOCK_POINTS + 500
+        positions = rng.uniform(0.0, 1.0, size=(m, 3))
+        semantic = np.tile([0.25, -0.0, 7.0], (m, 1))
+        semantic[:5] = [9.0, 9.0, 9.0]  # 5 copies of one far row: not mutual with the rest
+        vectors = np.concatenate([semantic, rng.normal(size=(m, 3))], axis=1)
+        layout = grid_layout(None, 1.0, explicit_bounds=([0, 0, 0], [1, 1, 1]))
+        grid = voxelize(positions, vectors, layout, VoxelClusterConfig(k=5))
+        assert grid.n_visible == 1
+        assert grid.rows[0].tobytes() == _fsum_means(vectors[5:]).tobytes()
+
+
 class TestTokenMatrix:
     def _grid(self, vis, d=4, rows=None):
         dims = vis.shape
@@ -363,6 +480,43 @@ class TestExactMean:
                 rows[at, 1] = -0.1
                 rows[at, 2] = 0.0
                 self._assert_same_bits(rows)
+
+    def test_segmented_means_match_fsum_on_1e5_segment_columns(self):
+        """The ROADMAP gate for the segmented rule: per (segment, column),
+        fsum(column) / n bit for bit, n from 1 to 2,000, magnitudes from 1e-300
+        to 1e300, cancelling, constant nonzero and constant +-0.0 columns."""
+        rng = np.random.default_rng(2024)
+        n_segments, n_cols, rounds = 50, 40, 50
+
+        def segment(n):
+            kind = rng.integers(7, size=n_cols)
+            seg = rng.normal(size=(n, n_cols)) * 10.0 ** rng.uniform(-300, 300, size=n_cols)
+            wide = kind == 1  # magnitudes spread over the whole range within one column
+            seg[:, wide] = rng.normal(size=(n, wide.sum())) * 10.0 ** rng.uniform(
+                -300, 300, size=(n, wide.sum()))
+            cancel = kind == 2  # pairs x, -x (plus one leftover term when n is odd)
+            seg[n // 2:2 * (n // 2), cancel] = -seg[:n // 2, cancel]
+            seg[:, cancel] = seg[rng.permutation(n)][:, cancel]
+            seg[:, kind == 3] = seg[0, kind == 3]
+            seg[:, kind == 4] = 0.0
+            seg[:, kind == 5] = -0.0
+            signed = kind == 6
+            seg[:, signed] = np.where(rng.random((n, signed.sum())) < 0.5, 0.0, -0.0)
+            return seg
+
+        pairs = 0
+        for _ in range(rounds):
+            # mostly short segments, as in a voxel grid, with a tail out to 2,000
+            counts = (2000.0 ** rng.uniform(0.0, 1.0, size=n_segments) ** 3).astype(np.int64)
+            counts[:2] = (1, 2000)
+            segments = [segment(n) for n in counts]
+            rows = np.concatenate(segments)
+            starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+            got = voxelizer._segment_means(rows, starts, voxelizer._varied_columns(rows, starts))
+            want = np.stack([_fsum_means(seg) for seg in segments])
+            assert got.tobytes() == want.tobytes()
+            pairs += got.size
+        assert pairs >= 100_000
 
     def test_mixed_columns_match_fsum(self):
         rng = np.random.default_rng(11)

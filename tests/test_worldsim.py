@@ -156,6 +156,18 @@ class TestRender:
             rows = rr.features.values[mask]
             assert np.all(rows == expected)
 
+    def test_feature_image_equals_pixel_by_pixel_dense_image(self):
+        w = gen_world(WorldConfig(n_objects=5), seed=8)
+        for intr, pose in capture_views(w, 3, seed=4):
+            rr = render(w, intr, pose)
+            expected = np.zeros((intr.height, intr.width, w.feature_dim))
+            for v, u in np.ndindex(intr.height, intr.width):
+                oid = int(rr.object_ids[v, u])
+                if oid >= 0:
+                    expected[v, u] = w.feature_of(w.object_by_id(oid))
+            assert rr.features.values.tobytes() == expected.tobytes()
+            assert rr.features.table.shape[0] <= len(w.objects) + 1
+
     def test_render_unproject_points_lie_on_hit_boxes(self):
         w = gen_world(WorldConfig(n_objects=5), seed=6)
         intr, pose = capture_views(w, 1, seed=2)[0]
