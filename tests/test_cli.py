@@ -274,13 +274,13 @@ class TestFlagValidation:
          "resolution must be finite and positive, got -inf"),
         (["scene", "init", "--world", "{world}", "--out", "{out}", "--r", "inf"],
          "resolution must be finite and positive, got inf"),
+        (["episode", "run", "--world", "{world}", "--out", "{out}", "--planner", "oracle",
+          "--disturb-swap", "0", "9"], "disturbance names object ids [9] the world lacks"),
         # finite but so fine that flat voxel indices would overflow int64
         (["scene", "init", "--world", "{world}", "--out", "{out}", "--r", "1e-300"],
          "resolution 1e-300 gives a "),
         (["ablate", "resolution", "--world", "{world}", "--values", "1e-9"],
          "resolution 1e-09 gives a "),
-        (["episode", "run", "--world", "{world}", "--out", "{out}", "--planner", "oracle",
-          "--disturb-swap", "0", "9"], "disturbance names object ids [9] the world lacks"),
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_resolution_or_object_id_is_an_error_line(self, world_file, tmp_path, capsys,
