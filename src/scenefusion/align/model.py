@@ -30,23 +30,24 @@ single all-gradients pass on the same operands, so every gradient bit, and
 with it every checkpoint, is the same whichever stage asks.
 
 Decoding: `generate` runs the prompt through the model once, keeping each
-layer's keys and values. Every later `forward_logits` call on the sequence
-`generate` built computes one new row per layer against those keys and
-values (relative bias `rel[:, t-j]`, position embedding `pos[t]`); the
-visual prefix is packed and projected only once. Any other sequence gets the
-full recompute.
+layer's keys and values in a decode state. Every later `forward_logits`
+call on the sequence `generate` built computes one new row per layer
+against those keys and values (relative bias `rel[:, t-j]`, position
+embedding `pos[t]`); the visual prefix is packed and projected only once.
+Any other sequence gets the full recompute.
 
 Attention is causal, so a prompt's scene prefix (`<bos> [3d] v_1 ... v_K
 [/3d]`, the rows up to the [/3d] after the last visual slot) has keys and
 values that do not depend on the question after it. The module keeps one
-entry: copies of those rows' keys, values and logits from the last prompt
-pass over a scene prefix. The next `generate` call reuses them when it has
-the same model object, equal prefix tokens and byte-equal visuals and
-parameters (bytes, not identity: prompts slice their visuals anew, and
-`adamw_step` updates parameters in place); its prompt pass then computes
-only the rows after the prefix. A prompt with no visual slot, or nothing
-after the [/3d], neither stores nor reuses. The entry is replaced, never
-changed in place, so concurrent callers at worst miss a reuse.
+entry: the decode state of the last prompt pass over a scene prefix, and
+its key, the prefix tokens and the bytes of the visuals and of every
+parameter (bytes, not identity: prompts slice their visuals anew, and
+`adamw_step` updates parameters in place). A state never rewrites a
+computed row, so the next `generate` call for the same model object with an
+equal key copies that state's prefix rows; its prompt pass then computes
+only the rows after them. A prompt with no visual slot, or nothing after
+the [/3d], neither stores nor reuses. The entry is replaced, never changed
+in place, so concurrent callers at worst miss a reuse.
 
 Contract: a prompt pass that misses is the plain full pass, bit for bit.
 On a hit, and on every row computed against cached keys and values, the
@@ -215,7 +216,6 @@ class PackedBatch:
     visual_mask: np.ndarray  # (B, T) bool
     visuals: np.ndarray  # (K, Din) all visual vectors, batch-major order
     loss_mask: np.ndarray  # (B, T) bool
-    lengths: np.ndarray  # (B,) true lengths
 
 
 def pack_batch(seqs: list[TokenSequence], pad_id: int) -> PackedBatch:
@@ -226,11 +226,9 @@ def pack_batch(seqs: list[TokenSequence], pad_id: int) -> PackedBatch:
     tokens = np.full((b, t), pad_id, dtype=np.int64)
     visual_mask = np.zeros((b, t), dtype=bool)
     loss_mask = np.zeros((b, t), dtype=bool)
-    lengths = np.zeros(b, dtype=np.int64)
     vis_parts = []
     for i, s in enumerate(seqs):
         n = len(s)
-        lengths[i] = n
         row = s.tokens.copy()
         slots = row == VISUAL_SLOT
         row[slots] = 0
@@ -243,7 +241,7 @@ def pack_batch(seqs: list[TokenSequence], pad_id: int) -> PackedBatch:
         visuals = np.concatenate(vis_parts, axis=0)
     else:
         visuals = np.zeros((0, 1))
-    return PackedBatch(tokens, visual_mask, visuals, loss_mask, lengths)
+    return PackedBatch(tokens, visual_mask, visuals, loss_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -515,12 +513,13 @@ def gradients(seq: TokenSequence, model: AlignmentModel,
 class _DecodeState:
     """Keys, values and logits of the rows one `generate` call has computed.
 
-    The buffers are sized to the decode horizon once and never re-allocated.
+    The buffers are sized to the decode horizon once and never re-allocated,
+    and a computed row is never rewritten.
     """
 
     def __init__(self, model: AlignmentModel, visuals: np.ndarray, horizon: int):
         cfg = model.cfg
-        self.model = model
+        self.model = weakref.ref(model)  # the stored state does not keep a model alive
         self.visuals = visuals
         self.n = 0  # rows computed so far
         self.tokens = np.empty(horizon, dtype=np.int64)
@@ -529,13 +528,12 @@ class _DecodeState:
         self.values = [np.empty(shape) for _ in range(cfg.n_layers)]
         self.logits = np.empty((horizon, cfg.vocab_size))
 
-    def fork(self, shared: "_SharedPrefix", tokens: np.ndarray) -> None:
-        """Take the shared prefix's rows as this state's first rows."""
-        p = len(shared.logits)
-        for mine, theirs in zip(self.keys + self.values, shared.keys + shared.values):
-            mine[:, :, :p] = theirs
-        self.logits[:p] = shared.logits
-        self.tokens[:p] = tokens[:p]
+    def fork(self, source: "_DecodeState", p: int) -> None:
+        """Take `source`'s first `p` rows as this state's first rows."""
+        for mine, theirs in zip(self.keys + self.values, source.keys + source.values):
+            mine[:, :, :p] = theirs[:, :, :p]
+        self.logits[:p] = source.logits[:p]
+        self.tokens[:p] = source.tokens[:p]
         self.n = p
 
     def continues(self, model: AlignmentModel, seq: TokenSequence) -> bool:
@@ -543,7 +541,7 @@ class _DecodeState:
         visuals, and either no row yet or the cached rows a prefix of
         `seq.tokens` whose new rows hold no visual slot."""
         t, n = len(seq), self.n
-        if model is not self.model or seq.visuals is not self.visuals or t > len(self.tokens):
+        if model is not self.model() or seq.visuals is not self.visuals or t > len(self.tokens):
             return False
         # bytes and list compares: a ufunc call per decoded token costs more
         return n == 0 or (
@@ -567,36 +565,9 @@ def _bytes_of(arr: np.ndarray) -> tuple:
     return arr.dtype.str, arr.shape, arr.tobytes()
 
 
-class _SharedPrefix:
-    """Copies of a prompt pass's first rows (keys, values and logits) and
-    the key they are valid for: the model object, the prefix tokens, and the
-    bytes of the visuals and of every parameter."""
-
-    def __init__(self, model: AlignmentModel, prompt: TokenSequence, state: _DecodeState, p: int,
-                 before: "_SharedPrefix | None"):
-        self.model = weakref.ref(model)  # the entry does not keep a model alive
-        self.tokens = prompt.tokens[:p].tobytes()
-        self.visuals = _bytes_of(prompt.visuals)
-        # the entry before, if its parameter copy still holds, lends it
-        self.params = (before.params if before is not None and before.same_params(model)
-                       else {k: _bytes_of(v) for k, v in model.params.items()})
-        self.keys = [k[:, :, :p].copy() for k in state.keys]
-        self.values = [v[:, :, :p].copy() for v in state.values]
-        self.logits = state.logits[:p].copy()
-
-    def same_params(self, model: AlignmentModel) -> bool:
-        # bytes, not identity: adamw_step updates parameter arrays in place
-        return (model is self.model() and model.params.keys() == self.params.keys()
-                and all(_bytes_of(v) == self.params[k] for k, v in model.params.items()))
-
-    def matches(self, model: AlignmentModel, prompt: TokenSequence, p: int) -> bool:
-        # cheapest first; the parameters last
-        return (p == len(self.logits) and prompt.tokens[:p].tobytes() == self.tokens
-                and _bytes_of(prompt.visuals) == self.visuals and self.same_params(model))
-
-
-# The one shared prefix: the last scene prefix `generate` computed.
-_shared_prefix: _SharedPrefix | None = None
+# The one shared prefix: (key, the decode state of the last prompt pass
+# over a scene prefix).
+_shared_prefix: tuple[tuple, _DecodeState] | None = None
 
 
 @dataclass(frozen=True)
@@ -624,7 +595,7 @@ def forward_logits(model: AlignmentModel, seq: TokenSequence) -> np.ndarray:
         # the new rows are text tokens (`continues` checked): no visual slot, no loss
         new = seq.tokens[None, t0:]
         none = np.zeros(new.shape, dtype=bool)
-        batch = PackedBatch(new, none, np.zeros((0, 1)), none, np.array([t]))
+        batch = PackedBatch(new, none, np.zeros((0, 1)), none)
     logits, _ = _forward(model.params, model.cfg, batch, want_cache=False, past=state)
     state.tokens[t0:t] = seq.tokens[t0:]
     state.logits[t0:t] = logits[0]
@@ -638,12 +609,11 @@ def generate(prefix: TokenSequence, model: AlignmentModel, max_len: int = 32) ->
     Ties break toward the lowest token id (argmax semantics). Returns the
     generated words (specials stripped). Each new token, and the closing
     <eos>, is one `forward_logits` call on the whole sequence so far.
-    When the prompt's scene prefix (its rows up to the [/3d] after the last
-    visual slot) equals the last one computed, for the same model object
-    with byte-equal visuals and parameters, the first call computes only the
+    When the prompt's scene prefix, for the same model object, has the key
+    of the stored entry (module docstring), the first call computes only the
     rows after it; otherwise the first call is the plain full pass, and its
-    prefix rows replace the one stored entry. See the module docstring for
-    what each call computes and how close the logits are to a full pass.
+    decode state becomes the entry. See the module docstring for what each
+    call computes and how close the logits are to a full pass.
     """
     global _shared_prefix
     if prefix.loss_mask.any():
@@ -652,10 +622,13 @@ def generate(prefix: TokenSequence, model: AlignmentModel, max_len: int = 32) ->
     state = _DecodeState(model, prefix.visuals,
                          min(model.cfg.max_len, len(tokens) + max(max_len, 0)))
     to_share = _shared_length(prefix, model.vocab.vis_close_id)
-    shared = _shared_prefix
-    if to_share and shared is not None and shared.matches(model, prefix, to_share):
-        state.fork(shared, prefix.tokens)
-        to_share = 0
+    if to_share:
+        key = (prefix.tokens[:to_share].tobytes(), _bytes_of(prefix.visuals),
+               tuple((k, _bytes_of(v)) for k, v in model.params.items()))
+        shared = _shared_prefix
+        if shared is not None and shared[1].model() is model and shared[0] == key:
+            state.fork(shared[1], to_share)
+            to_share = 0
     generated: list[int] = []
     eos = model.vocab.eos_id
     for _ in range(max_len):
@@ -665,7 +638,7 @@ def generate(prefix: TokenSequence, model: AlignmentModel, max_len: int = 32) ->
                               np.zeros(len(tokens), dtype=bool), state)
         logits = forward_logits(model, seq)
         if to_share and state.n >= to_share:  # the prompt pass filled the state
-            _shared_prefix = _SharedPrefix(model, prefix, state, to_share, shared)
+            _shared_prefix = (key, state)
             to_share = 0
         nxt = int(np.argmax(logits[-1]))
         if nxt == eos:

@@ -274,16 +274,11 @@ def _cmd_episode_run(args) -> int:
     return result.outcome != "success"
 
 
-def _qa_records_for_world(world, seed):
-    return gen_instructions(
-        world, ("qa_existence", "qa_negation", "qa_counting"), count=6, seed=seed
-    )
-
-
 def _cmd_ablate(args) -> int:
     world = load_world(args.world)
     model = load_checkpoint(args.checkpoint) if args.checkpoint else None
-    records = _qa_records_for_world(world, args.seed) if model else []
+    records = gen_instructions(world, ("qa_existence", "qa_negation", "qa_counting"),
+                               count=6, seed=args.seed) if model else []
     by_resolution = args.axis == "resolution"
     kind = float if by_resolution else int
     try:

@@ -160,13 +160,13 @@ class GridBeliefPlanner:
     and its pick is rejected for being too far.
     """
 
-    def __init__(self, world: WorldState, task: TaskSpec, survey_xy=None):
+    def __init__(self, world: WorldState, task: TaskSpec):
         self.task = task
         self.subject = world.object_by_id(task.subject_id)
         self.target = world.object_by_id(task.target_id)
         self.embeddings = world.category_embeddings
         # room bounds are static map knowledge; object positions are not
-        x, y = survey_xy if survey_xy is not None else survey_point(world)[:2]
+        x, y = survey_point(world)[:2]
         self.survey = PlannerAction("goto", f"{x:.2f} {y:.2f} 0.00")
         self.surveyed = False
         self.placed = False

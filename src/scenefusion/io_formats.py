@@ -192,10 +192,15 @@ def load_frame(path) -> Frame3D:
 
 
 def _grid_payload(grid: VoxelGrid) -> tuple[dict, dict]:
+    layout = grid.layout
+    # the payload stores the dense features, so they must fit in one array
+    if layout.n_voxels * grid.feature_dim * 8 > np.iinfo(np.intp).max:
+        raise ConfigError(f"resolution {layout.resolution} gives a {layout.dims} grid, too "
+                          f"many voxels for a dense {grid.feature_dim}-column features array")
     meta = {
-        "origin": grid.layout.origin.tolist(),
-        "resolution": grid.layout.resolution,
-        "dims": list(grid.layout.dims),
+        "origin": layout.origin.tolist(),
+        "resolution": layout.resolution,
+        "dims": list(layout.dims),
     }
     return meta, {"features": grid.features, "visibility": grid.visibility}
 

@@ -67,6 +67,10 @@ class GridLayout:
 
     def __post_init__(self):
         _check_resolution(self.resolution)
+        object.__setattr__(self, "origin", np.asarray(self.origin, dtype=np.float64).reshape(3))
+        if not np.isfinite(self.origin).all():
+            raise ConfigError(f"grid origin must be finite, got {self.origin.tolist()} "
+                              f"at resolution {self.resolution}")
         if any(not d >= 1 for d in self.dims):
             raise ConfigError(f"grid dims must be >= 1, got {self.dims}")
         # flat voxel indices (i*Y + j)*Z + k are int64, and voxelize sorts on them
@@ -74,7 +78,6 @@ class GridLayout:
             shape = " x ".join(f"{d:.4g}" for d in self.dims)
             raise ConfigError(f"resolution {self.resolution} gives a {shape} grid, more voxels "
                               "than int64 indices can number")
-        object.__setattr__(self, "origin", np.asarray(self.origin, dtype=np.float64).reshape(3))
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
 
     @property
@@ -179,6 +182,9 @@ def _snap_down(lo: np.ndarray, r: float) -> np.ndarray:
     return (n - (n * r > lo)) * r
 
 
+# a tiny r overflows the divisions here; GridLayout then rejects the
+# non-finite origin or dims with an error naming r
+@np.errstate(over="ignore", invalid="ignore")
 def grid_layout(points: np.ndarray, resolution: float, explicit_bounds=None) -> GridLayout:
     """Lay out a grid of half-open voxels [origin + i*r, origin + (i+1)*r).
 

@@ -2,9 +2,11 @@
 recomputation, finite-difference gradients, loss-mask soundness, causality,
 and cached greedy decoding against full recomputation."""
 
+import gc
 import hashlib
 import sys
 import threading
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -612,3 +614,15 @@ class TestSharedPrefix:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
         assert wrong == []
+
+    def test_entry_does_not_keep_the_model_alive(self, vocab):
+        """The stored scene prefix holds its model weakly: once the caller
+        drops the model, nothing keeps it alive."""
+        rng = np.random.default_rng(9)
+        model = _decode_model(vocab, 4)
+        generate(_prompt(rng, vocab, 3, 4), model, max_len=3)
+        ref = weakref.ref(model)
+        assert model_module._shared_prefix[1].model() is model  # this call stored it
+        del model
+        gc.collect()
+        assert ref() is None

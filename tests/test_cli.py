@@ -281,6 +281,12 @@ class TestFlagValidation:
          "resolution 1e-300 gives a "),
         (["ablate", "resolution", "--world", "{world}", "--values", "1e-9"],
          "resolution 1e-09 gives a "),
+        # subnormal: the origin's division overflows
+        (["scene", "init", "--world", "{world}", "--out", "{out}", "--r", "5e-324"],
+         "grid origin must be finite, got [inf, inf, inf] at resolution 5e-324"),
+        # int64 indices fit, but the saved dense features array could not exist
+        (["scene", "init", "--world", "{world}", "--out", "{out}", "--r", "1e-6"],
+         "resolution 1e-06 gives a (2640640, 1621468, 299638) grid, too many voxels"),
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_resolution_or_object_id_is_an_error_line(self, world_file, tmp_path, capsys,
