@@ -34,7 +34,8 @@ layer's keys and values in a decode state. Every later `forward_logits`
 call on the sequence `generate` built computes one new row per layer
 against those keys and values (relative bias `rel[:, t-j]`, position
 embedding `pos[t]`); the visual prefix is packed and projected only once.
-Any other sequence gets the full recompute.
+A call with exactly one new row runs `_decode_row`, the same operations on
+1-D vectors. Any other sequence gets the full recompute.
 
 Attention is causal, so a prompt's scene prefix (`<bos> [3d] v_1 ... v_K
 [/3d]`, the rows up to the [/3d] after the last visual slot) has keys and
@@ -60,6 +61,7 @@ stored the entry; the generated text does not.
 from __future__ import annotations
 
 import hashlib
+import math
 import weakref
 from dataclasses import dataclass, field, replace
 
@@ -93,11 +95,11 @@ class ModelConfig:
     def __post_init__(self):
         if self.ff == 0:
             object.__setattr__(self, "ff", 4 * self.h)
-        if self.h % self.n_heads != 0:
-            raise ConfigError(f"h={self.h} not divisible by n_heads={self.n_heads}")
         for name in ("vocab_size", "h", "n_layers", "n_heads", "ff", "max_len", "proj_in", "proj_mid"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.h % self.n_heads != 0:
+            raise ConfigError(f"h={self.h} not divisible by n_heads={self.n_heads}")
 
     @property
     def head_dim(self) -> int:
@@ -356,6 +358,45 @@ def _forward(params, cfg: ModelConfig, batch: PackedBatch, want_cache: bool,
     return logits, cache
 
 
+def _ln_row(x, g, b):
+    """`_ln_forward` of one row: its operations, with the means and 1/sqrt as
+    Python floats and the affine step in place."""
+    n = x.shape[0]
+    xc = x - float(np.add.reduce(x)) / n
+    xc *= 1.0 / math.sqrt(float(np.add.reduce(xc * xc)) / n + _LN_EPS)
+    xc *= g
+    xc += b
+    return xc
+
+
+def _decode_row(params, cfg: ModelConfig, state: "_DecodeState", token) -> np.ndarray:
+    """Logits of row t = state.n, holding text `token`, on 1-D vectors: the
+    operations of the one-row `_forward(past=state)`, whose k and v rows go
+    straight into the state. A last row has no future, so no causal mask."""
+    t, nh, dh = state.n, cfg.n_heads, cfg.head_dim
+    x = params["lm.embed"][token] + params["lm.pos"][t]
+    for l in range(cfg.n_layers):
+        p = f"lm.layers.{l}."
+        keys, values = state.keys[l][0], state.values[l][0]
+        a = _ln_row(x, params[p + "ln1.g"], params[p + "ln1.b"])
+        q = a @ params[p + "attn.wq"] + params[p + "attn.bq"]
+        keys[:, t] = (a @ params[p + "attn.wk"] + params[p + "attn.bk"]).reshape(nh, dh)
+        values[:, t] = (a @ params[p + "attn.wv"] + params[p + "attn.bv"]).reshape(nh, dh)
+        att = q.reshape(nh, 1, dh) @ keys[:, :t + 1].transpose(0, 2, 1)
+        att *= 1.0 / math.sqrt(dh)
+        att += params[p + "attn.rel"][:, None, t::-1]  # distances t, ..., 0
+        att -= att.max(axis=-1, keepdims=True)
+        np.exp(att, out=att)
+        att /= att.sum(axis=-1, keepdims=True)
+        ctx = (att @ values[:, :t + 1]).reshape(cfg.h)
+        x_mid = x + (ctx @ params[p + "attn.wo"] + params[p + "attn.bo"])
+        a2 = _ln_row(x_mid, params[p + "ln2.g"], params[p + "ln2.b"])
+        hg, _ = gelu_with_term(a2 @ params[p + "mlp.w1"] + params[p + "mlp.b1"])
+        x = x_mid + hg @ params[p + "mlp.w2"] + params[p + "mlp.b2"]
+    xf = _ln_row(x, params["lm.ln_f.g"], params["lm.ln_f.b"])
+    return xf @ params["lm.head.w"] + params["lm.head.b"]
+
+
 def _loss_from_logits(logits, batch: PackedBatch):
     """Per-sequence mean NLL over masked positions, then batch mean.
 
@@ -589,16 +630,19 @@ def forward_logits(model: AlignmentModel, seq: TokenSequence) -> np.ndarray:
         logits, _ = _forward(model.params, model.cfg, batch, want_cache=False)
         return logits[0]
     t0, t = state.n, len(seq)
-    if t0 == 0:
-        batch = pack_batch([seq], model.vocab.pad_id)
+    # the new rows are text tokens (`continues` checked): no visual slot, no loss
+    if t0 and t == t0 + 1:
+        logits = _decode_row(model.params, model.cfg, state, seq.tokens[t0])
     else:
-        # the new rows are text tokens (`continues` checked): no visual slot, no loss
-        new = seq.tokens[None, t0:]
-        none = np.zeros(new.shape, dtype=bool)
-        batch = PackedBatch(new, none, np.zeros((0, 1)), none)
-    logits, _ = _forward(model.params, model.cfg, batch, want_cache=False, past=state)
+        if t0 == 0:
+            batch = pack_batch([seq], model.vocab.pad_id)
+        else:
+            new = seq.tokens[None, t0:]
+            none = np.zeros(new.shape, dtype=bool)
+            batch = PackedBatch(new, none, np.zeros((0, 1)), none)
+        logits = _forward(model.params, model.cfg, batch, want_cache=False, past=state)[0][0]
     state.tokens[t0:t] = seq.tokens[t0:]
-    state.logits[t0:t] = logits[0]
+    state.logits[t0:t] = logits
     state.n = t
     return state.logits[:t].copy()
 

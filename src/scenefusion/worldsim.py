@@ -196,9 +196,15 @@ def gen_world(config: WorldConfig, seed: int) -> WorldState:
         raise ConfigError("object count must be >= 0")
     if config.feature_dim < 4:
         raise ConfigError("feature_dim must be >= 4 (embedding plus 3 color channels)")
-    rng = np.random.default_rng(seed)
     bmin = np.zeros(3)
     bmax = np.asarray(config.room_size, dtype=np.float64)
+    largest = np.round(config.max_size / config.snap) * config.snap
+    # the sampler's center range for its largest snapped box must not be empty
+    too_narrow = config.n_objects and np.any(largest / 2 + 0.1 > bmax[:2] - largest / 2 - 0.1)
+    if not np.all(np.isfinite(bmax) & (bmax > 0)) or too_narrow:
+        raise ConfigError(f"room size {tuple(config.room_size)} must be finite and positive,"
+                          f" and fit a {largest:g} m box plus 0.1 m margins across")
+    rng = np.random.default_rng(seed)
     objects: list[SimObject] = []
     for oid in range(config.n_objects):
         cat = config.categories[int(rng.integers(len(config.categories)))]

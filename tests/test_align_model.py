@@ -41,6 +41,7 @@ from scenefusion.align.vocab import build_vocab
 from scenefusion.errors import ConfigError
 
 GOLDEN_FULL_PASS = "6c759af485d677b2fb444dff67881fcb1108d106a226fe036e0ea48e0eed530f"
+GOLDEN_DECODE = "97b1f55853d6afba7cbcb72494d9e595f0045467442691feae4faac8f2b34145"
 
 
 def tiny_model(vocab, h=8, layers=1, heads=2, ff=16, proj_in=7, proj_mid=4, seed=1):
@@ -514,6 +515,123 @@ class TestCachedDecode:
                 seq = _prompt(rng, vocab, n_vis, int(rng.integers(1, 12)))
                 h.update(forward_logits(model, seq).tobytes())
         assert h.hexdigest() == GOLDEN_FULL_PASS
+
+    def test_decoded_logits_match_pinned_digest(self, vocab, monkeypatch):
+        """sha256 over every `forward_logits` output `generate` makes on the
+        decode cases, each cold and then warm, pinned before the one-row
+        step existed (float64, this numpy/OpenBLAS build)."""
+        h = hashlib.sha256()
+        rng = np.random.default_rng(13)
+        for model, prefix, max_len in _decode_cases(vocab):
+            for prompt in (prefix, _same_scene(rng, vocab, prefix)):
+                for logits in _decode_rows(monkeypatch, prompt, model, max_len)[1]:
+                    h.update(logits.tobytes())
+        assert h.hexdigest() == GOLDEN_DECODE
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestDecodeRow:
+    """`forward_logits` computes a decode sequence's one new row on vectors
+    (`_decode_row`): the operations of the one-row `_forward(past=state)`,
+    so every bit is the same."""
+
+    @pytest.mark.parametrize("h, heads, layers", [(32, 2, 2), (48, 3, 3), (8, 1, 1)])
+    def test_matches_one_row_forward_bit_for_bit(self, vocab, h, heads, layers):
+        rng = np.random.default_rng(h)
+        cfg = ModelConfig(vocab_size=len(vocab), h=h, n_layers=layers, n_heads=heads,
+                          max_len=24, proj_in=7, proj_mid=5)
+        params = {k: v + rng.normal(0.0, 0.3, size=v.shape)
+                  for k, v in init_params(cfg, h).items()}
+        model = AlignmentModel(cfg, params, vocab)
+        prompt = _prompt(rng, vocab, 3, cfg.max_len - 6)  # <bos> [3d] v v v [/3d] words
+        assert len(prompt) == cfg.max_len
+        # a real decode state: the prompt pass over every row
+        source = model_module._DecodeState(model, prompt.visuals, cfg.max_len)
+        forward_logits(model, model_module._DecodeSequence(
+            prompt.tokens, prompt.visuals, prompt.loss_mask, source))
+        for t in (1, cfg.max_len // 2, cfg.max_len - 1):
+            row_state, ref_state = (model_module._DecodeState(model, prompt.visuals, cfg.max_len)
+                                    for _ in range(2))
+            row_state.fork(source, t)
+            ref_state.fork(source, t)
+            token = prompt.tokens[t:t + 1]
+            none = np.zeros((1, 1), dtype=bool)
+            batch = model_module.PackedBatch(token[None], none, np.zeros((0, 1)), none)
+            ref, _ = _forward(model.params, cfg, batch, False, past=ref_state)
+            row = model_module._decode_row(model.params, cfg, row_state, token[0])
+            assert _same_bits(row, ref[0, 0])
+            for mine, theirs in zip(row_state.keys + row_state.values,
+                                    ref_state.keys + ref_state.values):
+                assert _same_bits(mine[:, :, :t + 1], theirs[:, :, :t + 1])
+
+    def test_runs_once_per_call_after_the_first(self, vocab, monkeypatch):
+        """Cold and warm: every call whose state holds all rows but the last
+        takes the row step once (each call after the first, and a hit's first
+        call on a one-word question); max_len=1 never does."""
+        real = model_module._decode_row
+        rows = []
+
+        def spy(params, cfg, state, token):
+            rows.append(state.n)
+            return real(params, cfg, state, token)
+
+        monkeypatch.setattr(model_module, "_decode_row", spy)
+        rng = np.random.default_rng(14)
+        n_rows = 0
+        for model, prefix, max_len in _decode_cases(vocab):
+            for prompt in (prefix, _same_scene(rng, vocab, prefix)):
+                rows.clear()
+                _, calls, held = _decode_rows(monkeypatch, prompt, model, max_len)
+                # call i holds len(prompt) - 1 + i rows; the first holds `held`
+                first = 0 if held == len(prompt) - 1 else 1
+                assert rows == [len(prompt) - 1 + i for i in range(first, len(calls))]
+                n_rows += len(rows)
+        assert n_rows > 200
+        model, single, _ = _decode_cases(vocab)[21]
+        rows.clear()
+        assert len(_cached_decode(monkeypatch, single, model, 1)[1]) == 1
+        assert rows == []
+
+    def test_other_sequences_never_take_the_row_step(self, vocab, monkeypatch):
+        """A re-run, another model object, an edited earlier token and a copy
+        of the visuals get the plain full pass, without the row step."""
+        model, prefix, max_len = _decode_cases(vocab)[1]
+        twin = model.with_params(model.params)
+        full = model_module.forward_logits
+        real = model_module._decode_row
+        n_rows = n_checked = 0
+
+        def count(*args):
+            nonlocal n_rows
+            n_rows += 1
+            return real(*args)
+
+        def plain_without_row_step(others):
+            before = n_rows
+            for other_model, other in others:
+                plain = full(model, _plain(other.tokens, other.visuals))
+                assert _same_bits(full(other_model, other), plain)
+            assert n_rows == before
+
+        def check_then_run(m, seq):
+            nonlocal n_checked
+            if seq.state.n == len(seq) - 1:  # the next call takes the row step
+                toks = seq.tokens.copy()
+                toks[-2] = (toks[-2] + 1) % len(vocab)
+                plain_without_row_step([(twin, seq), (model, replace(seq, tokens=toks)),
+                                        (model, replace(seq, visuals=seq.visuals.copy()))])
+                n_checked += 1
+            logits = full(m, seq)
+            plain_without_row_step([(m, seq)])  # a re-run: the state covers it all
+            return logits
+
+        monkeypatch.setattr(model_module, "_decode_row", count)
+        monkeypatch.setattr(model_module, "forward_logits", check_then_run)
+        generate(prefix, model, max_len=max_len)
+        assert n_checked >= 2 and n_rows == n_checked
 
 
 def _flip_one_bit(visuals, rng):

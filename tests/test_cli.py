@@ -25,6 +25,13 @@ class TestBasicCommands:
         assert main(["world", "gen", "--out", str(b), "--seed", "5"]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("room", [["0", "0", "0"], ["nan", "3", "2"], ["3", "3", "-1"]])
+    def test_world_gen_rejects_degenerate_rooms(self, tmp_path, capsys, room):
+        out = tmp_path / "world.json"
+        assert main(["world", "gen", "--out", str(out), "--room", *room]) == 1
+        assert capsys.readouterr().err.startswith("error: ConfigError: room size (")
+        assert not out.exists()
+
     def test_render_and_frame_build(self, world_file, tmp_path):
         render_out = tmp_path / "render.bin"
         assert main(["render", "--world", str(world_file), "--out", str(render_out)]) == 0
@@ -226,7 +233,8 @@ class TestDatagenTrainEval:
         assert report["total"] == 2
         assert 0.0 <= report["exact_match"] <= 1.0
 
-    @pytest.mark.parametrize("flags", [["--steps", "-3"], ["--warmup", "-5"], ["--lr", "nan"]])
+    @pytest.mark.parametrize("flags", [["--steps", "-3"], ["--warmup", "-5"], ["--lr", "nan"],
+                                       ["--heads", "0"]])
     def test_train_rejects_bad_schedule_flags(self, tmp_path, capsys, flags):
         data_dir = tmp_path / "data"
         assert main(["datagen", "--out", str(data_dir), "--worlds", "1", "--objects", "3",
