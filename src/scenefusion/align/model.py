@@ -41,14 +41,24 @@ Attention is causal, so a prompt's scene prefix (`<bos> [3d] v_1 ... v_K
 [/3d]`, the rows up to the [/3d] after the last visual slot) has keys and
 values that do not depend on the question after it. The module keeps one
 entry: the decode state of the last prompt pass over a scene prefix, and
-its key, the prefix tokens and the bytes of the visuals and of every
-parameter (bytes, not identity: prompts slice their visuals anew, and
-`adamw_step` updates parameters in place). A state never rewrites a
-computed row, so the next `generate` call for the same model object with an
-equal key copies that state's prefix rows; its prompt pass then computes
-only the rows after them. A prompt with no visual slot, or nothing after
-the [/3d], neither stores nor reuses. The entry is replaced, never changed
-in place, so concurrent callers at worst miss a reuse.
+its key, the prefix tokens, the bytes of the visuals (bytes, not identity:
+prompts slice their visuals anew) and the parameter epoch. A state never
+rewrites a computed row, so the next `generate` call for the same model
+object with an equal key copies that state's prefix rows; its prompt pass
+then computes only the rows after them. A prompt with no visual slot, or
+nothing after the [/3d], neither stores nor reuses. The entry is replaced,
+never changed in place, so concurrent callers at worst miss a reuse.
+
+The parameter check costs one compare whatever the parameter count. Every
+`adamw_step` starts a new epoch after it writes, so no entry stored before
+an optimizer step is reused after it. Any other change to a model's
+parameters fails at the write: before its prompt pass can store an entry,
+`generate` makes the model's parameter arrays read-only (they stay so until
+`adamw_step` updates them), and a model's parameter dict never rebinds a
+name. Not covered: a write through another array that shares a
+parameter's memory (a view taken before that call, or the array a parameter
+views). To change weights another way, build a new model from copies
+(`with_params`).
 
 Contract: a prompt pass that misses is the plain full pass, bit for bit.
 On a hit, and on every row computed against cached keys and values, the
@@ -62,6 +72,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import threading
 import weakref
 from dataclasses import dataclass, field, replace
 
@@ -172,11 +183,25 @@ def init_params(cfg: ModelConfig, seed: int = 0,
     return params
 
 
+class _Params(dict):
+    """A model's parameter dict: its names cannot be rebound, added or
+    removed (module docstring), so its arrays stay the same objects."""
+
+    def _rebind(self, *args, **kwargs):
+        raise TypeError("a model's parameter names are fixed; build a new model with with_params")
+
+    __setitem__ = __delitem__ = __ior__ = _rebind
+    update = pop = popitem = setdefault = clear = _rebind
+
+
 @dataclass(frozen=True)
 class AlignmentModel:
     cfg: ModelConfig
     params: dict[str, np.ndarray]
     vocab: Vocabulary
+
+    def __post_init__(self):
+        object.__setattr__(self, "params", _Params(self.params))
 
     @staticmethod
     def create(cfg: ModelConfig, vocab: Vocabulary, seed: int = 0,
@@ -602,13 +627,21 @@ def _shared_length(prompt: TokenSequence, close_id: int) -> int:
     return p
 
 
-def _bytes_of(arr: np.ndarray) -> tuple:
-    return arr.dtype.str, arr.shape, arr.tobytes()
-
-
 # The one shared prefix: (key, the decode state of the last prompt pass
 # over a scene prefix).
 _shared_prefix: tuple[tuple, _DecodeState] | None = None
+
+# Part of the shared prefix's key; `new_param_epoch` advances it.
+_param_epoch = 0
+_epoch_lock = threading.Lock()
+
+
+def new_param_epoch() -> None:
+    """Start a new parameter epoch: no shared prefix stored before it is
+    reused. `adamw_step` calls this after each in-place update."""
+    global _param_epoch
+    with _epoch_lock:  # two concurrent steps must advance it twice
+        _param_epoch += 1
 
 
 @dataclass(frozen=True)
@@ -654,10 +687,13 @@ def generate(prefix: TokenSequence, model: AlignmentModel, max_len: int = 32) ->
     generated words (specials stripped). Each new token, and the closing
     <eos>, is one `forward_logits` call on the whole sequence so far.
     When the prompt's scene prefix, for the same model object, has the key
-    of the stored entry (module docstring), the first call computes only the
-    rows after it; otherwise the first call is the plain full pass, and its
-    decode state becomes the entry. See the module docstring for what each
-    call computes and how close the logits are to a full pass.
+    of the stored entry (its tokens, its visuals' bytes and the parameter
+    epoch), the first call computes only the rows after it; otherwise the
+    first call is the plain full pass, and its decode state becomes the
+    entry. A prompt with a scene prefix leaves the model's parameter arrays
+    read-only until `adamw_step` updates them. See the module docstring for
+    this rule, for what each call computes and for how close the logits are
+    to a full pass.
     """
     global _shared_prefix
     if prefix.loss_mask.any():
@@ -667,12 +703,19 @@ def generate(prefix: TokenSequence, model: AlignmentModel, max_len: int = 32) ->
                          min(model.cfg.max_len, len(tokens) + max(max_len, 0)))
     to_share = _shared_length(prefix, model.vocab.vis_close_id)
     if to_share:
-        key = (prefix.tokens[:to_share].tobytes(), _bytes_of(prefix.visuals),
-               tuple((k, _bytes_of(v)) for k, v in model.params.items()))
+        vis, epoch = prefix.visuals, _param_epoch
+        key = (prefix.tokens[:to_share].tobytes(), (vis.dtype.str, vis.shape, vis.tobytes()),
+               epoch)
         shared = _shared_prefix
-        if shared is not None and shared[1].model() is model and shared[0] == key:
+        same_model = shared is not None and shared[1].model() is model
+        if same_model and shared[0] == key:
             state.fork(shared[1], to_share)
             to_share = 0
+        elif not (same_model and shared[0][2] == epoch):
+            # once per model and epoch: an entry of this model at this epoch
+            # means its arrays are read-only already
+            for arr in model.params.values():
+                arr.setflags(write=False)
     generated: list[int] = []
     eos = model.vocab.eos_id
     for _ in range(max_len):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigError, TrainingDivergedError
-from .model import AlignmentModel, batch_loss_and_grads
+from .model import AlignmentModel, batch_loss_and_grads, new_param_epoch
 from .sequence import TokenSequence
 
 STAGE1 = "stage1"
@@ -88,6 +88,8 @@ def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         p -= lr ((m / bc1) / (sqrt(v / bc2) + eps) [+ weight_decay p])
     evaluated in that order through two reused scratch buffers, so no
     temporary array is allocated once the state has seen every parameter.
+    The updated arrays become writeable (`generate` may have made them
+    read-only), and a new parameter epoch starts after the update.
     """
     state.t += 1
     b1, b2 = cfg.beta1, cfg.beta2
@@ -95,6 +97,8 @@ def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     bc2 = 1.0 - b2 ** state.t
     for name, g in grads.items():
         p = params[name]
+        if not p.flags.writeable:
+            p.setflags(write=True)
         if name not in state.m:
             state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)
@@ -120,6 +124,7 @@ def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
             update += np.multiply(p, cfg.weight_decay, out=tmp)
         update *= lr
         p -= update
+    new_param_epoch()
 
 
 def train(dataset: list[TokenSequence], cfg: TrainConfig,

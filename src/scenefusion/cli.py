@@ -417,8 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=cfg.knn_k)
     p.add_argument("--n-views", type=int, default=6)
     p.add_argument("--frame-views", type=int, default=3)
-    p.add_argument("--per-kind", type=int, default=6)
-    p.add_argument("--heldout", type=int, default=50)
+    p.add_argument("--per-kind", type=_count, default=6)
+    p.add_argument("--heldout", type=_count, default=50)
     p.add_argument("--feature-dim", type=int, default=cfg.feature_dim)
     p.set_defaults(func=_cmd_datagen)
 

