@@ -55,7 +55,6 @@ from .interact import (
     plan_step,
     run_episode,
 )
-from .config import RunConfig
 
 __version__ = "0.1.0"
 
@@ -73,7 +72,6 @@ __all__ = [
     "OraclePlanner",
     "PlannerAction",
     "Pose",
-    "RunConfig",
     "SceneState",
     "TokenSequence",
     "TrainConfig",

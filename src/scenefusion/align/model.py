@@ -41,24 +41,27 @@ Attention is causal, so a prompt's scene prefix (`<bos> [3d] v_1 ... v_K
 [/3d]`, the rows up to the [/3d] after the last visual slot) has keys and
 values that do not depend on the question after it. The module keeps one
 entry: the decode state of the last prompt pass over a scene prefix, and
-its key, the prefix tokens, the bytes of the visuals (bytes, not identity:
-prompts slice their visuals anew) and the parameter epoch. A state never
-rewrites a computed row, so the next `generate` call for the same model
-object with an equal key copies that state's prefix rows; its prompt pass
-then computes only the rows after them. A prompt with no visual slot, or
-nothing after the [/3d], neither stores nor reuses. The entry is replaced,
-never changed in place, so concurrent callers at worst miss a reuse.
+its key, the prefix tokens and the visuals' dtype, shape and bytes (bytes,
+not identity: prompts slice their visuals anew). A state never rewrites a
+computed row, so the next `generate` call for the same model object with an
+equal key copies that state's prefix rows; its prompt pass then computes
+only the rows after them. A prompt with no visual slot, or nothing after
+the [/3d], neither stores nor reuses. The entry is replaced, never changed
+in place, so concurrent callers at worst miss a reuse.
 
-The parameter check costs one compare whatever the parameter count. Every
-`adamw_step` starts a new epoch after it writes, so no entry stored before
-an optimizer step is reused after it. Any other change to a model's
-parameters fails at the write: before its prompt pass can store an entry,
-`generate` makes the model's parameter arrays read-only (they stay so until
-`adamw_step` updates them), and a model's parameter dict never rebinds a
-name. Not covered: a write through another array that shares a
-parameter's memory (a view taken before that call, or the array a parameter
-views). To change weights another way, build a new model from copies
-(`with_params`).
+One rule keeps the entry current: it is reused only while every parameter
+array of its model is read-only. A `generate` call with a scene prefix that
+finds a writeable parameter array makes all of them read-only and drops the
+entry, whichever model stored it (models may share arrays), before its
+prompt pass. `adamw_step` makes the arrays it updates writeable, and numpy
+refuses any other in-place write until the writer does the same, so a
+write ends the reuse. A model's parameter mapping is read-only, so a name
+cannot be rebound to another array either. Not covered: a write through
+another array that shares a parameter's memory (a view taken before the
+arrays were made read-only, or the array a parameter views), a writer that
+makes the array read-only again after writing, and a write while a
+`generate` call on that model runs. To change weights another way, build a
+new model from copies (`with_params`).
 
 Contract: a prompt pass that misses is the plain full pass, bit for bit.
 On a hit, and on every row computed against cached keys and values, the
@@ -72,7 +75,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-import threading
+import types
 import weakref
 from dataclasses import dataclass, field, replace
 
@@ -183,17 +186,6 @@ def init_params(cfg: ModelConfig, seed: int = 0,
     return params
 
 
-class _Params(dict):
-    """A model's parameter dict: its names cannot be rebound, added or
-    removed (module docstring), so its arrays stay the same objects."""
-
-    def _rebind(self, *args, **kwargs):
-        raise TypeError("a model's parameter names are fixed; build a new model with with_params")
-
-    __setitem__ = __delitem__ = __ior__ = _rebind
-    update = pop = popitem = setdefault = clear = _rebind
-
-
 @dataclass(frozen=True)
 class AlignmentModel:
     cfg: ModelConfig
@@ -201,7 +193,8 @@ class AlignmentModel:
     vocab: Vocabulary
 
     def __post_init__(self):
-        object.__setattr__(self, "params", _Params(self.params))
+        # a copy behind a read-only view: names cannot be rebound (module docstring)
+        object.__setattr__(self, "params", types.MappingProxyType(dict(self.params)))
 
     @staticmethod
     def create(cfg: ModelConfig, vocab: Vocabulary, seed: int = 0,
@@ -631,18 +624,6 @@ def _shared_length(prompt: TokenSequence, close_id: int) -> int:
 # over a scene prefix).
 _shared_prefix: tuple[tuple, _DecodeState] | None = None
 
-# Part of the shared prefix's key; `new_param_epoch` advances it.
-_param_epoch = 0
-_epoch_lock = threading.Lock()
-
-
-def new_param_epoch() -> None:
-    """Start a new parameter epoch: no shared prefix stored before it is
-    reused. `adamw_step` calls this after each in-place update."""
-    global _param_epoch
-    with _epoch_lock:  # two concurrent steps must advance it twice
-        _param_epoch += 1
-
 
 @dataclass(frozen=True)
 class _DecodeSequence(TokenSequence):
@@ -687,13 +668,14 @@ def generate(prefix: TokenSequence, model: AlignmentModel, max_len: int = 32) ->
     generated words (specials stripped). Each new token, and the closing
     <eos>, is one `forward_logits` call on the whole sequence so far.
     When the prompt's scene prefix, for the same model object, has the key
-    of the stored entry (its tokens, its visuals' bytes and the parameter
-    epoch), the first call computes only the rows after it; otherwise the
-    first call is the plain full pass, and its decode state becomes the
-    entry. A prompt with a scene prefix leaves the model's parameter arrays
-    read-only until `adamw_step` updates them. See the module docstring for
-    this rule, for what each call computes and for how close the logits are
-    to a full pass.
+    of the stored entry (its tokens and its visuals' dtype, shape and bytes)
+    and none of the model's parameter arrays is writeable, the first call
+    computes only the rows after it; otherwise the first call is the plain
+    full pass, and its decode state becomes the entry. A prompt with a scene
+    prefix that finds a writeable parameter array makes them all read-only
+    and drops the entry first, even at max_len=0. See the module docstring
+    for this rule and its gaps, for what each call computes and for how
+    close the logits are to a full pass.
     """
     global _shared_prefix
     if prefix.loss_mask.any():
@@ -703,19 +685,19 @@ def generate(prefix: TokenSequence, model: AlignmentModel, max_len: int = 32) ->
                          min(model.cfg.max_len, len(tokens) + max(max_len, 0)))
     to_share = _shared_length(prefix, model.vocab.vis_close_id)
     if to_share:
-        vis, epoch = prefix.visuals, _param_epoch
-        key = (prefix.tokens[:to_share].tobytes(), (vis.dtype.str, vis.shape, vis.tobytes()),
-               epoch)
-        shared = _shared_prefix
-        same_model = shared is not None and shared[1].model() is model
-        if same_model and shared[0] == key:
-            state.fork(shared[1], to_share)
-            to_share = 0
-        elif not (same_model and shared[0][2] == epoch):
-            # once per model and epoch: an entry of this model at this epoch
-            # means its arrays are read-only already
+        vis = prefix.visuals
+        key = (prefix.tokens[:to_share].tobytes(), vis.dtype.str, vis.shape, vis.tobytes())
+        if any(arr.flags.writeable for arr in model.params.values()):
+            # the weights may have changed since the entry was stored. Drop
+            # it before freezing and read it after the scan, so a concurrent
+            # call that finds every array frozen cannot see the old entry.
+            _shared_prefix = None
             for arr in model.params.values():
                 arr.setflags(write=False)
+        shared = _shared_prefix
+        if shared is not None and shared[1].model() is model and shared[0] == key:
+            state.fork(shared[1], to_share)
+            to_share = 0
     generated: list[int] = []
     eos = model.vocab.eos_id
     for _ in range(max_len):

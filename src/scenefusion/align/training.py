@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigError, TrainingDivergedError
-from .model import AlignmentModel, batch_loss_and_grads, new_param_epoch
+from .model import AlignmentModel, batch_loss_and_grads
 from .sequence import TokenSequence
 
 STAGE1 = "stage1"
@@ -88,8 +88,11 @@ def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         p -= lr ((m / bc1) / (sqrt(v / bc2) + eps) [+ weight_decay p])
     evaluated in that order through two reused scratch buffers, so no
     temporary array is allocated once the state has seen every parameter.
-    The updated arrays become writeable (`generate` may have made them
-    read-only), and a new parameter epoch starts after the update.
+    Each updated array is made writeable (`generate` may have made it
+    read-only) and left so. The next `generate` call with a scene prefix
+    sees that, makes the arrays read-only and drops the stored scene prefix
+    (`align.model` module docstring); an array made read-only again before
+    that call hides the step, and the old prefix rows would be reused.
     """
     state.t += 1
     b1, b2 = cfg.beta1, cfg.beta2
@@ -97,8 +100,7 @@ def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     bc2 = 1.0 - b2 ** state.t
     for name, g in grads.items():
         p = params[name]
-        if not p.flags.writeable:
-            p.setflags(write=True)
+        p.setflags(write=True)
         if name not in state.m:
             state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)
@@ -124,7 +126,6 @@ def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
             update += np.multiply(p, cfg.weight_decay, out=tmp)
         update *= lr
         p -= update
-    new_param_epoch()
 
 
 def train(dataset: list[TokenSequence], cfg: TrainConfig,

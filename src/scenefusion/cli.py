@@ -17,7 +17,6 @@ import numpy as np
 from .align.model import AlignmentModel, ModelConfig, generate
 from .align.sequence import SEQ_KIND_SCENE, assemble_sequence
 from .align.training import TrainConfig, train
-from .config import load_config
 from .datagen import (
     DatagenConfig,
     build_dataset_dir,
@@ -135,7 +134,10 @@ def _cmd_scene_update(args) -> int:
     frame = load_frame(args.frame)
     new_state = update_scene(state, frame, VoxelClusterConfig(k=args.k))
     save_scene(new_state, args.out)
-    changed = int(np.sum(np.any(new_state.grid.features != state.grid.features, axis=-1)))
+    # the old rows aligned onto the new index, a superset of the old one
+    old = np.zeros_like(new_state.grid.rows)
+    old[np.searchsorted(new_state.grid.index, state.grid.index)] = state.grid.rows
+    changed = int(np.count_nonzero(np.any(new_state.grid.rows != old, axis=1)))
     print(f"updated t={state.t}->{new_state.t}, {changed} voxels changed -> {args.out}")
     return 0
 
@@ -350,7 +352,6 @@ def _add_camera_flags(p):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    cfg = load_config()  # $SCENEFUSION_CONFIG when set, defaults otherwise
     parser = argparse.ArgumentParser(prog="scenefusion", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -359,9 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = world_sub.add_parser("gen", help="generate a random room")
     p.add_argument("--out", required=True)
     p.add_argument("--objects", type=int, default=5)
-    p.add_argument("--seed", type=int, default=cfg.seed)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--room", type=float, nargs=3, default=[3.2, 3.2, 2.0])
-    p.add_argument("--feature-dim", type=int, default=cfg.feature_dim)
+    p.add_argument("--feature-dim", type=int, default=16)
     p.set_defaults(func=_cmd_world_gen)
 
     p = sub.add_parser("render", help="raycast one view to a render artifact")
@@ -384,22 +385,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = scene_sub.add_parser("init", help="aggregate multi-view frames into a scene grid")
     p.add_argument("--world", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--r", type=float, default=cfg.resolution)
-    p.add_argument("--k", type=int, default=cfg.knn_k)
-    p.add_argument("--n-views", type=int, default=cfg.n_views)
-    p.add_argument("--seed", type=int, default=cfg.seed)
+    p.add_argument("--r", type=float, default=0.18)
+    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--n-views", type=int, default=20)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_scene_init)
     p = scene_sub.add_parser("update", help="apply the masked update from a frame")
     p.add_argument("--scene", required=True)
     p.add_argument("--frame", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--k", type=int, default=cfg.knn_k)
+    p.add_argument("--k", type=int, default=5)
     p.set_defaults(func=_cmd_scene_update)
 
     p = sub.add_parser("voxelize", help="voxelize a frame into a feature grid")
     p.add_argument("--in", dest="frame_in", required=True)
-    p.add_argument("--r", type=float, default=cfg.resolution)
-    p.add_argument("--k", type=int, default=cfg.knn_k)
+    p.add_argument("--r", type=float, default=0.18)
+    p.add_argument("--k", type=int, default=5)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_voxelize)
 
@@ -412,14 +413,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--worlds", type=int, default=30)
     p.add_argument("--objects", type=int, default=5)
-    p.add_argument("--seed", type=int, default=cfg.seed)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--r", type=float, default=0.25)
-    p.add_argument("--k", type=int, default=cfg.knn_k)
+    p.add_argument("--k", type=int, default=5)
     p.add_argument("--n-views", type=int, default=6)
     p.add_argument("--frame-views", type=int, default=3)
     p.add_argument("--per-kind", type=_count, default=6)
     p.add_argument("--heldout", type=_count, default=50)
-    p.add_argument("--feature-dim", type=int, default=cfg.feature_dim)
+    p.add_argument("--feature-dim", type=int, default=16)
     p.set_defaults(func=_cmd_datagen)
 
     p = sub.add_parser("train", help="train the alignment model")
@@ -431,12 +432,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=0.0, help="0 = stage default (3e-4/2e-3)")
     p.add_argument("--warmup", type=int, default=50)
     p.add_argument("--batch", type=int, default=8)
-    p.add_argument("--seed", type=int, default=cfg.seed)
-    p.add_argument("--h", type=int, default=cfg.h)
-    p.add_argument("--h-mid", type=int, default=cfg.h_mid)
-    p.add_argument("--layers", type=int, default=cfg.n_layers)
-    p.add_argument("--heads", type=int, default=cfg.n_heads)
-    p.add_argument("--max-len", type=int, default=cfg.max_len)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--h", type=int, default=32)
+    p.add_argument("--h-mid", type=int, default=32)
+    p.add_argument("--layers", type=int, default=2)
+    p.add_argument("--heads", type=int, default=2)
+    p.add_argument("--max-len", type=int, default=512)
     p.set_defaults(func=_cmd_train)
 
     eval_p = sub.add_parser("eval", help="evaluation")
@@ -459,9 +460,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task-index", type=int, default=0)
     p.add_argument("--budget", type=_count, default=12)
     p.add_argument("--r", type=float, default=0.25)
-    p.add_argument("--k", type=int, default=cfg.knn_k)
+    p.add_argument("--k", type=int, default=5)
     p.add_argument("--n-views", type=int, default=8)
-    p.add_argument("--seed", type=int, default=cfg.seed)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-scene-update", action="store_true")
     p.add_argument("--no-egocentric", action="store_true")
     p.add_argument("--disturb-swap", type=int, nargs=2, default=None,
@@ -477,8 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", required=True, help="comma-separated sweep values")
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--n-views", type=int, default=20)
-    p.add_argument("--k", type=int, default=cfg.knn_k)
-    p.add_argument("--seed", type=int, default=cfg.seed)
+    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_ablate)
 

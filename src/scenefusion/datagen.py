@@ -143,6 +143,9 @@ class DatagenConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_views", "n_frame_views"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.per_kind < 0:
             raise ConfigError(f"per_kind must be >= 0, got {self.per_kind}")
 
@@ -301,24 +304,26 @@ def build_dataset_dir(out_dir, n_worlds: int, world_cfg: WorldConfig,
     """Generate worlds plus a JSON-lines record file under out_dir.
 
     Visual tokens are not stored; they regenerate bit-identically from the
-    world files and the recorded datagen config.
+    world files and the recorded datagen config. Every world's records are
+    generated before any file is written, so a rejected config writes none.
     """
     if n_worlds < 1:
         raise ConfigError(f"a dataset needs at least 1 world, got {n_worlds}")
     if n_heldout < 0:
         raise ConfigError(f"n_heldout must be >= 0, got {n_heldout}")
-    os.makedirs(os.path.join(out_dir, "worlds"), exist_ok=True)
+    worlds = [gen_world(world_cfg, seed=dg_cfg.seed * 100000 + i) for i in range(n_worlds)]
     scene_records: list[AlignedRecord] = []
     n_frame = 0
-    for i in range(n_worlds):
-        world = gen_world(world_cfg, seed=dg_cfg.seed * 100000 + i)
-        save_world(world, os.path.join(out_dir, "worlds", f"world-{world.seed}.json"))
+    for world in worlds:
         for rec in world_records(world, dg_cfg):
             if rec.group == "scene":
                 scene_records.append(rec)
             else:
                 n_frame += 1
     split = _split_heldout(scene_records, n_heldout, dg_cfg.seed)
+    os.makedirs(os.path.join(out_dir, "worlds"), exist_ok=True)
+    for world in worlds:
+        save_world(world, os.path.join(out_dir, "worlds", f"world-{world.seed}.json"))
     with open(os.path.join(out_dir, "records.jsonl"), "w", encoding="utf-8") as f:
         for i, r in enumerate(scene_records):
             f.write(json.dumps({

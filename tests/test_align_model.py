@@ -643,9 +643,9 @@ def _flip_one_bit(visuals, rng):
 
 class TestSharedPrefix:
     """`generate` keeps the last scene prefix's rows and reuses them only for
-    the same model object with equal prefix tokens and byte-equal visuals, in
-    the parameter epoch that stored them; with or without the reuse it emits
-    what a loop of full passes emits."""
+    the same model object with equal prefix tokens and byte-equal visuals,
+    while every parameter array of that model stays read-only; with or
+    without the reuse it emits what a loop of full passes emits."""
 
     def test_reuse_matches_full_recompute_on_20_models(self, vocab, monkeypatch):
         for seed in range(20):
@@ -694,8 +694,9 @@ class TestSharedPrefix:
     def test_a_write_that_bypasses_adamw_step_never_reuses_old_rows(
             self, vocab, monkeypatch, name):
         """After a call stores a model's scene prefix, one parameter changed in
-        place without `adamw_step`, or rebound to another array: either the
-        write raises, or the next call on that model and scene misses."""
+        place without `adamw_step`, rebound to another array, or made
+        writeable and then changed in place: either the write raises, or the
+        next call on that model and scene misses."""
         rng = np.random.default_rng(17)
         scene = _prompt(rng, vocab, 3, 4)
         p = 3 + 3  # <bos> [3d] v_1 v_2 v_3 [/3d]
@@ -706,7 +707,12 @@ class TestSharedPrefix:
         def rebind(model):
             model.params[name] = model.params[name] + 0.5
 
-        for write, error in ((in_place, ValueError), (rebind, TypeError)):
+        def unfreeze_then_write(model):
+            model.params[name].setflags(write=True)
+            in_place(model)
+
+        for write, error in ((in_place, ValueError), (rebind, TypeError),
+                             (unfreeze_then_write, ValueError)):
             model = _decode_model(vocab, 5)
             assert _assert_matches_full_recompute(monkeypatch, scene, model, 8) == 0
             try:
@@ -718,6 +724,27 @@ class TestSharedPrefix:
                                          vocab).prefix_before_answer()
             held = _assert_matches_full_recompute(monkeypatch, question, model, 8)
             assert held == (0 if wrote else p)
+
+    @pytest.mark.parametrize("through_twin", [False, True])
+    def test_a_call_that_stores_nothing_still_ends_the_reuse(self, vocab, monkeypatch,
+                                                              through_twin):
+        """A prefix is stored, a weight is made writeable and changed in
+        place, and a `max_len=0` call with a scene prompt (on the same model,
+        or on a model sharing its arrays) makes the arrays read-only again
+        but stores nothing: the next call on the first scene still misses."""
+        rng = np.random.default_rng(23)
+        scene = _prompt(rng, vocab, 3, 4)
+        model = _decode_model(vocab, 6)
+        assert _assert_matches_full_recompute(monkeypatch, scene, model, 8) == 0
+        wk = model.params["lm.layers.0.attn.wk"]
+        wk.setflags(write=True)
+        wk += 5.0
+        caller = model.with_params(model.params) if through_twin else model
+        assert generate(_same_scene(rng, vocab, scene), caller, max_len=0) == ""
+        assert not wk.flags.writeable
+        assert model_module._shared_prefix is None
+        assert _assert_matches_full_recompute(monkeypatch, _same_scene(rng, vocab, scene),
+                                              model, 8) == 0
 
     def test_prefix_ends_at_the_close_after_the_last_visual(self, vocab):
         rng = np.random.default_rng(3)
@@ -761,6 +788,45 @@ class TestSharedPrefix:
         finally:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
+        assert wrong == []
+
+    def test_concurrent_callers_after_a_write_get_the_new_text(self, vocab):
+        """Rounds of: an entry stored, one weight made writeable and changed
+        in place, then four threads asking that model about the scene at
+        once. Whichever thread freezes the arrays, none reuses the old entry,
+        so every answer is the full-pass text under the new weights."""
+        rng = np.random.default_rng(31)
+        model = _decode_model(vocab, 8)  # 3 layers: 61 arrays to freeze
+        scene = rng.normal(size=(3, 7))
+        words = list(vocab.words[5:])
+        prompts = [assemble_sequence("scene", scene, " ".join(rng.choice(words, 3)), "",
+                                     vocab).prefix_before_answer() for _ in range(4)]
+        wk = model.params["lm.layers.0.attn.wk"]
+        wrong = []
+
+        def ask(prompt, want, start):
+            start.wait(timeout=60)
+            if generate(prompt, model, max_len=2) != want:
+                wrong.append(prompt)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(30):
+                generate(prompts[0], model, max_len=2)
+                wk.setflags(write=True)
+                wk += rng.normal(0.0, 0.5, size=wk.shape)
+                want = [vocab.decode(_reference_decode(p, model, 2)[0]) for p in prompts]
+                start = threading.Barrier(len(prompts))
+                threads = [threading.Thread(target=ask, args=(p, w, start))
+                           for p, w in zip(prompts, want)]
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=60)
+                assert not any(th.is_alive() for th in threads)
+        finally:
+            sys.setswitchinterval(interval)
         assert wrong == []
 
     def test_entry_does_not_keep_the_model_alive(self, vocab):

@@ -10,7 +10,6 @@ from scenefusion.align.model import AlignmentModel, ModelConfig, generate, param
 from scenefusion.align.sequence import assemble_sequence
 from scenefusion.align.training import STAGE1, STAGE2, TrainConfig, train
 from scenefusion.align.vocab import build_vocab
-from scenefusion.config import RunConfig
 from scenefusion.datagen import DatagenConfig, build_dataset_dir, load_dataset_dir, sequences_for
 from scenefusion.errors import ConfigError, TrainingDivergedError
 from scenefusion.worldsim import WorldConfig, word_grounding
@@ -149,10 +148,8 @@ class TestPinnedTwoStageRun:
         learning rates, 40 steps a stage: every parameter and loss bit."""
         build_dataset_dir(tmp_path, 2, WorldConfig(), DatagenConfig())
         bundle = load_dataset_dir(tmp_path)
-        rc = RunConfig()
-        cfg = ModelConfig(vocab_size=len(bundle.vocab), h=rc.h, n_layers=rc.n_layers,
-                          n_heads=rc.n_heads, max_len=rc.max_len,
-                          proj_in=bundle.frame_records[0].visual.shape[1], proj_mid=rc.h_mid)
+        cfg = ModelConfig(vocab_size=len(bundle.vocab),
+                          proj_in=bundle.frame_records[0].visual.shape[1])
         grounding = word_grounding(next(iter(bundle.worlds.values())))
         model = AlignmentModel.create(cfg, bundle.vocab, seed=0, word_grounding=grounding)
         s1 = sequences_for([r for r in bundle.frame_records if r.group == "frame"], bundle.vocab)

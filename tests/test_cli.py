@@ -1,13 +1,14 @@
 """CLI surface: subcommand behavior, cross-command consistency, exit codes,
 and byte-identical reruns."""
 
+import argparse
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from scenefusion.cli import main
+from scenefusion.cli import build_parser, main
 from scenefusion.io_formats import load_artifact, load_grid_or_scene, save_artifact
 
 
@@ -58,7 +59,7 @@ class TestBasicCommands:
         printed = int(capsys.readouterr().out.strip())
         assert printed == grid.n_visible
 
-    def test_scene_init_update_round(self, world_file, tmp_path):
+    def test_scene_init_update_round(self, world_file, tmp_path, capsys):
         scene_out = tmp_path / "scene.bin"
         assert main(["scene", "init", "--world", str(world_file), "--out", str(scene_out),
                      "--r", "0.25", "--n-views", "6"]) == 0
@@ -66,11 +67,16 @@ class TestBasicCommands:
         main(["frame", "build", "--world", str(world_file), "--out", str(frame_out),
               "--view", "1", "--n-views", "6"])
         out2 = tmp_path / "scene2.bin"
+        capsys.readouterr()
         assert main(["scene", "update", "--scene", str(scene_out),
                      "--frame", str(frame_out), "--out", str(out2)]) == 0
         from scenefusion.io_formats import load_scene
 
-        assert load_scene(out2).t == 1
+        before, after = load_scene(scene_out), load_scene(out2)
+        assert after.t == 1
+        # the printed count is the dense voxel-by-voxel compare of both grids
+        dense = int(np.sum(np.any(after.grid.features != before.grid.features, axis=-1)))
+        assert f", {dense} voxels changed -> " in capsys.readouterr().out
 
     def test_pca_dump(self, world_file, tmp_path):
         frame_out, grid_out = tmp_path / "f.bin", tmp_path / "g.bin"
@@ -85,7 +91,27 @@ class TestBasicCommands:
         assert vals[:, 3:].min() >= 0.0 and vals[:, 3:].max() <= 1.0
 
 
+def _command_paths(parser, path=()):
+    """Every command path the parser accepts, depth first: () for the top
+    level, then ("world",), ("world", "gen"), ..."""
+    yield path
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _command_paths(sub, path + (name,))
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("path", list(_command_paths(build_parser())),
+                             ids=lambda path: "-".join(path) or "top")
+    def test_help_exits_0_with_usage(self, capsys, path):
+        # builds every parser and formats its help, so a bad default or help
+        # string fails here
+        with pytest.raises(SystemExit) as exc:
+            main([*path, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: scenefusion")
+
     def test_unknown_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -319,6 +345,15 @@ class TestFlagValidation:
         # a dataset with no world
         (["datagen", "--out", "{out}", "--worlds", "0"],
          "a dataset needs at least 1 world, got 0"),
+        # a rejected datagen config writes no world file
+        (["datagen", "--out", "{out}", "--worlds", "1", "--n-views", "0"],
+         "n_views must be >= 1, got 0"),
+        (["datagen", "--out", "{out}", "--worlds", "1", "--frame-views", "-1"],
+         "n_frame_views must be >= 1, got -1"),
+        (["datagen", "--out", "{out}", "--worlds", "1", "--k", "0"],
+         "k must be >= 1, got 0"),
+        (["datagen", "--out", "{out}", "--worlds", "1", "--r", "0"],
+         "resolution must be finite and positive, got 0.0"),
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_resolution_or_object_id_is_an_error_line(self, world_file, tmp_path, capsys,

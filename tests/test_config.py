@@ -8,12 +8,11 @@ import pytest
 
 from scenefusion.align.model import ModelConfig
 from scenefusion.align.training import TrainConfig
-from scenefusion.config import RunConfig, config_from_dict, load_config
+from scenefusion.config import config_from_dict
 from scenefusion.errors import ConfigError
 from scenefusion.worldsim import WorldConfig
 
 CONFIGS = [
-    RunConfig(resolution=0.25, n_heads=4, seed=3),
     ModelConfig(vocab_size=40, h=16, n_heads=4, proj_in=7),
     TrainConfig(stage="stage2", lr=2e-5, batch_size=4, steps=9),
     WorldConfig(room_size=(4.0, 3.0, 2.5), categories=("cup", "vase"), n_objects=2),
@@ -46,18 +45,3 @@ def test_missing_keys_keep_defaults():
 def test_bad_input_raises_config_error(d):
     with pytest.raises(ConfigError):
         config_from_dict(ModelConfig, d)
-
-
-def test_load_config_reads_through_the_same_rules(tmp_path):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"h": 64, "n_heads": 4}))
-    assert load_config(path) == RunConfig(h=64, n_heads=4)
-    path.write_text(json.dumps({"hidden": 64}))
-    with pytest.raises(ConfigError, match="hidden"):
-        load_config(path)
-
-
-@pytest.mark.parametrize("r", [0.0, float("nan"), float("inf")])
-def test_resolution_must_be_finite_and_positive(r):
-    with pytest.raises(ConfigError, match="finite and positive"):
-        RunConfig(resolution=r)
