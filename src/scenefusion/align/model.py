@@ -49,19 +49,9 @@ only the rows after them. A prompt with no visual slot, or nothing after
 the [/3d], neither stores nor reuses. The entry is replaced, never changed
 in place, so concurrent callers at worst miss a reuse.
 
-One rule keeps the entry current: it is reused only while every parameter
-array of its model is read-only. A `generate` call with a scene prefix that
-finds a writeable parameter array makes all of them read-only and drops the
-entry, whichever model stored it (models may share arrays), before its
-prompt pass. `adamw_step` makes the arrays it updates writeable, and numpy
-refuses any other in-place write until the writer does the same, so a
-write ends the reuse. A model's parameter mapping is read-only, so a name
-cannot be rebound to another array either. Not covered: a write through
-another array that shares a parameter's memory (a view taken before the
-arrays were made read-only, or the array a parameter views), a writer that
-makes the array read-only again after writing, and a write while a
-`generate` call on that model runs. To change weights another way, build a
-new model from copies (`with_params`).
+A model's weights never change: `AlignmentModel` keeps an immutable copy
+of each parameter array, so an entry stays current for as long as its model
+object lives, and new weights mean a new model object (`with_params`).
 
 Contract: a prompt pass that misses is the plain full pass, bit for bit.
 On a hit, and on every row computed against cached keys and values, the
@@ -188,13 +178,25 @@ def init_params(cfg: ModelConfig, seed: int = 0,
 
 @dataclass(frozen=True)
 class AlignmentModel:
+    """Configuration, weights and vocabulary of one model.
+
+    The weights are immutable from construction: `params` is a read-only
+    mapping over float64 copies of the given arrays, each a view of a
+    `bytes` object, so an in-place write raises `ValueError`, and so does
+    `setflags(write=True)` on an array, its base or any view of it. The
+    caller's arrays stay its own. Training builds new models.
+    """
+
     cfg: ModelConfig
     params: dict[str, np.ndarray]
     vocab: Vocabulary
 
     def __post_init__(self):
-        # a copy behind a read-only view: names cannot be rebound (module docstring)
-        object.__setattr__(self, "params", types.MappingProxyType(dict(self.params)))
+        frozen = {}
+        for name, v in self.params.items():
+            arr = np.asarray(v, dtype=np.float64)
+            frozen[name] = np.frombuffer(arr.tobytes()).reshape(arr.shape)
+        object.__setattr__(self, "params", types.MappingProxyType(frozen))
 
     @staticmethod
     def create(cfg: ModelConfig, vocab: Vocabulary, seed: int = 0,
@@ -210,6 +212,8 @@ class AlignmentModel:
         return AlignmentModel(cfg, init_params(cfg, seed, grounding_ids), vocab)
 
     def with_params(self, params: dict[str, np.ndarray]) -> "AlignmentModel":
+        """A new model with this one's config and vocabulary and immutable
+        copies of `params`."""
         return AlignmentModel(self.cfg, params, self.vocab)
 
 
@@ -668,14 +672,12 @@ def generate(prefix: TokenSequence, model: AlignmentModel, max_len: int = 32) ->
     generated words (specials stripped). Each new token, and the closing
     <eos>, is one `forward_logits` call on the whole sequence so far.
     When the prompt's scene prefix, for the same model object, has the key
-    of the stored entry (its tokens and its visuals' dtype, shape and bytes)
-    and none of the model's parameter arrays is writeable, the first call
-    computes only the rows after it; otherwise the first call is the plain
-    full pass, and its decode state becomes the entry. A prompt with a scene
-    prefix that finds a writeable parameter array makes them all read-only
-    and drops the entry first, even at max_len=0. See the module docstring
-    for this rule and its gaps, for what each call computes and for how
-    close the logits are to a full pass.
+    of the stored entry (its tokens and its visuals' dtype, shape and bytes),
+    the first call computes only the rows after it; otherwise the first call
+    is the plain full pass, and its decode state becomes the entry. A
+    model's weights never change, so the entry needs no other check. See
+    the module docstring for what each call computes and for how close the
+    logits are to a full pass.
     """
     global _shared_prefix
     if prefix.loss_mask.any():
@@ -687,13 +689,6 @@ def generate(prefix: TokenSequence, model: AlignmentModel, max_len: int = 32) ->
     if to_share:
         vis = prefix.visuals
         key = (prefix.tokens[:to_share].tobytes(), vis.dtype.str, vis.shape, vis.tobytes())
-        if any(arr.flags.writeable for arr in model.params.values()):
-            # the weights may have changed since the entry was stored. Drop
-            # it before freezing and read it after the scan, so a concurrent
-            # call that finds every array frozen cannot see the old entry.
-            _shared_prefix = None
-            for arr in model.params.values():
-                arr.setflags(write=False)
         shared = _shared_prefix
         if shared is not None and shared[1].model() is model and shared[0] == key:
             state.fork(shared[1], to_share)

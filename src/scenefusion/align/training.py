@@ -4,7 +4,9 @@ Stage 1 updates only the projection parameters and leaves the language model
 bit-identical; stage 2 updates everything. The optimizer is AdamW (adaptive
 moments with decoupled weight decay) with a linear learning-rate warmup.
 Training is deterministic: a fixed seed fixes the batch order, and parameter
-updates run in the params dict's fixed key order.
+updates run in the params dict's fixed key order. A model's weights never
+change, so `train` updates private writable copies and builds a new model
+from them for each step and for its result.
 """
 
 from __future__ import annotations
@@ -80,7 +82,8 @@ class AdamWState:
 
 def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
                state: AdamWState, cfg: TrainConfig, lr: float) -> None:
-    """In-place AdamW update of the parameter arrays named in grads.
+    """In-place AdamW update of the parameter arrays named in grads, which
+    must be writable copies: a model's own weights are immutable.
 
     Decoupled weight decay applies to 2-D weight matrices only (biases,
     layernorm vectors, and embeddings stay undecayed). Per parameter:
@@ -88,11 +91,6 @@ def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         p -= lr ((m / bc1) / (sqrt(v / bc2) + eps) [+ weight_decay p])
     evaluated in that order through two reused scratch buffers, so no
     temporary array is allocated once the state has seen every parameter.
-    Each updated array is made writeable (`generate` may have made it
-    read-only) and left so. The next `generate` call with a scene prefix
-    sees that, makes the arrays read-only and drops the stored scene prefix
-    (`align.model` module docstring); an array made read-only again before
-    that call hides the step, and the old prefix rows would be reused.
     """
     state.t += 1
     b1, b2 = cfg.beta1, cfg.beta2
@@ -100,7 +98,6 @@ def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     bc2 = 1.0 - b2 ** state.t
     for name, g in grads.items():
         p = params[name]
-        p.setflags(write=True)
         if name not in state.m:
             state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)
@@ -132,13 +129,14 @@ def train(dataset: list[TokenSequence], cfg: TrainConfig,
           model: AlignmentModel) -> tuple[AlignmentModel, list[float]]:
     """Run cfg.steps optimizer steps; returns the trained model and loss trace.
 
-    The input model is untouched. Batches cycle through seeded permutations of
-    the dataset; a non-finite loss aborts with the offending step.
+    The input model is untouched: each step updates private copies of its
+    weights, and the returned model is a new one with immutable copies of
+    the final values. Batches cycle through seeded permutations of the
+    dataset; a non-finite loss aborts with the offending step.
     """
     if not dataset:
         raise ConfigError("train needs a nonempty dataset")
     params = {k: v.copy() for k, v in model.params.items()}
-    work = model.with_params(params)
     prefixes = trainable_prefixes(cfg.stage)
     state = AdamWState()
     rng = np.random.default_rng(cfg.seed)
@@ -151,11 +149,11 @@ def train(dataset: list[TokenSequence], cfg: TrainConfig,
                 order = rng.permutation(len(dataset)).tolist()
             batch_ids.append(order.pop())
         batch = [dataset[i] for i in batch_ids]
-        loss_val, _, grads = batch_loss_and_grads(work, batch, prefixes)
+        loss_val, _, grads = batch_loss_and_grads(model.with_params(params), batch, prefixes)
         if not math.isfinite(loss_val):
             raise TrainingDivergedError(
                 f"non-finite loss {loss_val} at step {step}", step=step, loss=loss_val
             )
         trace.append(loss_val)
         adamw_step(params, grads, state, cfg, cfg.lr_at(step))
-    return work, trace
+    return model.with_params(params), trace

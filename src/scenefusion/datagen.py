@@ -9,6 +9,7 @@ full multi-view scene grid's tokens plus an instruction/answer pair.
 
 from __future__ import annotations
 
+import fnmatch
 import json
 import os
 from collections import Counter
@@ -374,22 +375,31 @@ def load_dataset_dir(data_dir) -> DatasetBundle:
 
     A dataset file that is not valid JSON or lacks what it must hold raises
     ArtifactFormatError naming the file, and a worlds directory with no world
-    file raises it naming the directory.
+    file, or with another number of `world-*.json` files than meta.json's
+    `n_worlds` (a rebuild over a larger dataset leaves its extra worlds
+    behind), raises it naming the directory.
     """
     meta_path = os.path.join(data_dir, "meta.json")
     try:
         with open(meta_path, "rb") as f:
             meta = json.load(f)
         dg_cfg = config_from_dict(DatagenConfig, meta.get("datagen_cfg"))
+        n_worlds = meta.get("n_worlds")
+        if type(n_worlds) is not int or n_worlds < 1:
+            raise ConfigError(f"n_worlds must be a positive int, got {n_worlds!r}")
     except (ValueError, AttributeError, ConfigError) as exc:
         raise ArtifactFormatError(f"{meta_path}: bad dataset meta ({exc})") from None
-    worlds: dict[str, WorldState] = {}
     wdir = os.path.join(data_dir, "worlds")
-    for name in sorted(os.listdir(wdir)):
+    names = [n for n in sorted(os.listdir(wdir)) if fnmatch.fnmatch(n, "world-*.json")]
+    if not names:
+        raise ArtifactFormatError(f"{wdir}: no world files; a dataset needs at least 1 world")
+    if len(names) != n_worlds:
+        raise ArtifactFormatError(
+            f"{wdir}: {len(names)} world files, but meta.json records n_worlds={n_worlds}")
+    worlds: dict[str, WorldState] = {}
+    for name in names:
         world = load_world(os.path.join(wdir, name))
         worlds[f"world-{world.seed}"] = world
-    if not worlds:
-        raise ArtifactFormatError(f"{wdir}: no world files; a dataset needs at least 1 world")
 
     frame_records: list[AlignedRecord] = []
     stokens_by_ref: dict[str, np.ndarray] = {}

@@ -74,8 +74,6 @@ class EpisodeState:
     task: str
     completed_steps: tuple[str, ...]
     frame_description: str
-    step_budget: int
-    steps_taken: int = 0
 
 
 @dataclass(frozen=True)
@@ -370,7 +368,7 @@ def run_episode(
     # later egocentric frame inside the grid
     scene = room_scene(world, [frame_from_view(world, iv, pv) for iv, pv in init_views],
                        resolution, cfg)
-    ep = EpisodeState(scene, task.text, (), "", budget)
+    ep = EpisodeState(scene, task.text, (), "")
     current = world
     steps: list[StepRecord] = []
     frames_log: list[Frame3D] = []
@@ -387,9 +385,7 @@ def run_episode(
         if scene_updates and frame.n_points:
             scene = update_scene(scene, frame, cfg)
         grids_log.append(scene)
-        ep = replace(
-            ep, scene=scene, frame_description=desc, steps_taken=step,
-        )
+        ep = replace(ep, scene=scene, frame_description=desc)
         held = tuple(o.oid for o in current.objects if o.held)
         obs = Observation(current.agent.position.copy(), held)
         if planner is not None:

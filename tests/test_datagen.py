@@ -364,6 +364,31 @@ class TestDatasetJsonFiles:
         with pytest.raises(ArtifactFormatError, match="meta.json.*per_kind must be >= 0"):
             load_dataset_dir(tmp_path)
 
+    @pytest.mark.parametrize("n_worlds", [0, -1, "1", 1.0, True, None])
+    def test_bad_n_worlds_in_meta(self, tmp_path, n_worlds):
+        meta, _ = self._dataset(tmp_path)
+        d = json.loads(meta.read_text(encoding="utf-8"))
+        d["n_worlds"] = n_worlds
+        meta.write_text(json.dumps(d), encoding="utf-8")
+        with pytest.raises(ArtifactFormatError, match="meta.json.*n_worlds must be a positive int"):
+            load_dataset_dir(tmp_path)
+
+    def test_world_files_left_by_a_larger_build(self, tmp_path):
+        """A 2-world build over a 3-world dataset leaves world-2.json behind:
+        loading names the directory and both counts instead of training on
+        the stale world's records. A fresh 2-world build still loads."""
+        cfg = DatagenConfig(per_kind=1, n_views=2, n_frame_views=1, scene_subset_sizes=(1,),
+                            scene_variants=0, seed=0)
+        for out, n in ((tmp_path / "rebuilt", 3), (tmp_path / "rebuilt", 2),
+                       (tmp_path / "fresh", 2)):
+            build_dataset_dir(out, n, WorldConfig(n_objects=2), cfg, n_heldout=1)
+        assert len(list((tmp_path / "rebuilt" / "worlds").iterdir())) == 3
+        with pytest.raises(ArtifactFormatError,
+                           match=f"{tmp_path / 'rebuilt' / 'worlds'}: 3 world files, "
+                                 "but meta.json records n_worlds=2"):
+            load_dataset_dir(tmp_path / "rebuilt")
+        assert len(load_dataset_dir(tmp_path / "fresh").worlds) == 2
+
 
 class TestDatasetCounts:
     """Counts that would silently write an empty or partial dataset are a

@@ -69,7 +69,7 @@ class TestPlanningPrompt:
         from scenefusion.scene import init_scene
 
         scene = init_scene(frames, 0.25, CFG)
-        return EpisodeState(scene, "put the mug near the box", ("goto ( mug )",), desc, 10)
+        return EpisodeState(scene, "put the mug near the box", ("goto ( mug )",), desc)
 
     def test_prompt_contains_all_parts(self):
         ep = self._ep()
@@ -102,7 +102,7 @@ class TestPlanStepContract:
         return init_scene(frames, 0.25, CFG)
 
     def _ep(self, scene, desc="i saw a red mug", done=DONE):
-        return EpisodeState(scene, self.TASK, done, desc, 10)
+        return EpisodeState(scene, self.TASK, done, desc)
 
     def _model(self, scene, word):
         vocab = build_vocab([self.TASK], extra_words=base_vocab_words())
@@ -398,6 +398,6 @@ class TestModelPlanning:
         from scenefusion.datagen import scene_from_world
 
         state, _ = scene_from_world(w, 0.25, CFG, n_views=4, seed=0)
-        ep = EpisodeState(state, task.text, (), "", 10)
+        ep = EpisodeState(state, task.text, (), "")
         action, prompt = plan_step(ep, model, egocentric=False)
         assert action.verb in ("goto", "pick")
