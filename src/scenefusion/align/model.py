@@ -29,13 +29,17 @@ from the forward pass for the backward. Both halves do the operations of a
 single all-gradients pass on the same operands, so every gradient bit, and
 with it every checkpoint, is the same whichever stage asks.
 
-Decoding: `generate` runs the prompt through the model once, keeping each
-layer's keys and values in a decode state. Every later `forward_logits`
-call on the sequence `generate` built computes one new row per layer
-against those keys and values (relative bias `rel[:, t-j]`, position
-embedding `pos[t]`); the visual prefix is packed and projected only once.
+Decoding: `generate` checks its prompt once, then runs it through the
+model once, keeping each layer's keys and values in a decode state. Every
+later `forward_logits` call on the sequence `generate` built computes one
+new row per layer against those keys and values (relative bias
+`rel[:, t-j]`, position embedding `pos[t]`); the visual prefix is packed and
+projected only once. `generate` builds those sequences without re-running
+`TokenSequence`'s checks, since each is the checked prompt plus argmax ids.
 A call with exactly one new row runs `_decode_row`, the same operations on
-1-D vectors. Any other sequence gets the full recompute.
+1-D vectors, reading each layer's weights from its record in
+`AlignmentModel.layers` (a tuple of views built once per model) instead of
+by name. Any other sequence gets the full recompute.
 
 Attention is causal, so a prompt's scene prefix (`<bos> [3d] v_1 ... v_K
 [/3d]`, the rows up to the [/3d] after the last visual slot) has keys and
@@ -83,6 +87,11 @@ from .sequence import VISUAL_SLOT, TokenSequence
 from .vocab import Vocabulary
 
 _LN_EPS = 1e-5
+
+# One layer's parameters, in the order of `AlignmentModel.layers` records.
+_LAYER_PARAMS = ("ln1.g", "ln1.b", "attn.wq", "attn.bq", "attn.wk", "attn.bk", "attn.wv",
+                 "attn.bv", "attn.rel", "attn.wo", "attn.bo", "ln2.g", "ln2.b",
+                 "mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2")
 
 
 @dataclass(frozen=True)
@@ -184,12 +193,15 @@ class AlignmentModel:
     mapping over float64 copies of the given arrays, each a view of a
     `bytes` object, so an in-place write raises `ValueError`, and so does
     `setflags(write=True)` on an array, its base or any view of it. The
-    caller's arrays stay its own. Training builds new models.
+    caller's arrays stay its own. Training builds new models. `layers`
+    holds, per layer, views of its `_LAYER_PARAMS` arrays in that order,
+    for the one-row decode step.
     """
 
     cfg: ModelConfig
     params: dict[str, np.ndarray]
     vocab: Vocabulary
+    layers: tuple[tuple[np.ndarray, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         frozen = {}
@@ -197,6 +209,9 @@ class AlignmentModel:
             arr = np.asarray(v, dtype=np.float64)
             frozen[name] = np.frombuffer(arr.tobytes()).reshape(arr.shape)
         object.__setattr__(self, "params", types.MappingProxyType(frozen))
+        object.__setattr__(self, "layers", tuple(
+            tuple(frozen[f"lm.layers.{l}.{nm}"] for nm in _LAYER_PARAMS)
+            for l in range(self.cfg.n_layers)))
 
     @staticmethod
     def create(cfg: ModelConfig, vocab: Vocabulary, seed: int = 0,
@@ -242,7 +257,17 @@ class PackedBatch:
     loss_mask: np.ndarray  # (B, T) bool
 
 
-def pack_batch(seqs: list[TokenSequence], pad_id: int) -> PackedBatch:
+def _check_token_ids(tokens: np.ndarray, vocab_size: int) -> None:
+    """ConfigError unless every id is VISUAL_SLOT or in [0, vocab_size).
+    VISUAL_SLOT is -1, the one negative id, so two bounds say it all."""
+    if tokens.size and (tokens.min() < VISUAL_SLOT or tokens.max() >= vocab_size):
+        bad = tokens[(tokens < VISUAL_SLOT) | (tokens >= vocab_size)]
+        raise ConfigError(f"token id {int(bad[0])} is outside the vocabulary [0, {vocab_size})")
+
+
+def pack_batch(seqs: list[TokenSequence], pad_id: int, vocab_size: int) -> PackedBatch:
+    """Pad the sequences into one batch; ConfigError on an empty batch or a
+    token id outside [0, vocab_size) that is not a visual slot."""
     if not seqs:
         raise ConfigError("cannot pack an empty batch")
     b = len(seqs)
@@ -261,6 +286,7 @@ def pack_batch(seqs: list[TokenSequence], pad_id: int) -> PackedBatch:
         loss_mask[i, :n] = s.loss_mask
         if s.n_visual:
             vis_parts.append(s.visuals)
+    _check_token_ids(tokens, vocab_size)  # visual slots are 0 here
     if vis_parts:
         visuals = np.concatenate(vis_parts, axis=0)
     else:
@@ -391,30 +417,33 @@ def _ln_row(x, g, b):
     return xc
 
 
-def _decode_row(params, cfg: ModelConfig, state: "_DecodeState", token) -> np.ndarray:
+def _decode_row(model: AlignmentModel, state: "_DecodeState", token) -> np.ndarray:
     """Logits of row t = state.n, holding text `token`, on 1-D vectors: the
     operations of the one-row `_forward(past=state)`, whose k and v rows go
-    straight into the state. A last row has no future, so no causal mask."""
+    straight into the state. A last row has no future, so no causal mask.
+    Each layer's weights come from its record in `model.layers`; the max and
+    sum are the ufunc reductions `ndarray.max` and `ndarray.sum` call."""
+    cfg, params = model.cfg, model.params
     t, nh, dh = state.n, cfg.n_heads, cfg.head_dim
+    scale = 1.0 / math.sqrt(dh)
     x = params["lm.embed"][token] + params["lm.pos"][t]
-    for l in range(cfg.n_layers):
-        p = f"lm.layers.{l}."
-        keys, values = state.keys[l][0], state.values[l][0]
-        a = _ln_row(x, params[p + "ln1.g"], params[p + "ln1.b"])
-        q = a @ params[p + "attn.wq"] + params[p + "attn.bq"]
-        keys[:, t] = (a @ params[p + "attn.wk"] + params[p + "attn.bk"]).reshape(nh, dh)
-        values[:, t] = (a @ params[p + "attn.wv"] + params[p + "attn.bv"]).reshape(nh, dh)
+    for layer, keys, values in zip(model.layers, state.keys, state.values):
+        g1, c1, wq, bq, wk, bk, wv, bv, rel, wo, bo, g2, c2, w1, b1, w2, b2 = layer
+        keys, values = keys[0], values[0]
+        a = _ln_row(x, g1, c1)
+        q = a @ wq + bq
+        keys[:, t] = (a @ wk + bk).reshape(nh, dh)
+        values[:, t] = (a @ wv + bv).reshape(nh, dh)
         att = q.reshape(nh, 1, dh) @ keys[:, :t + 1].transpose(0, 2, 1)
-        att *= 1.0 / math.sqrt(dh)
-        att += params[p + "attn.rel"][:, None, t::-1]  # distances t, ..., 0
-        att -= att.max(axis=-1, keepdims=True)
+        att *= scale
+        att += rel[:, None, t::-1]  # distances t, ..., 0
+        att -= np.maximum.reduce(att, axis=-1, keepdims=True)
         np.exp(att, out=att)
-        att /= att.sum(axis=-1, keepdims=True)
+        att /= np.add.reduce(att, axis=-1, keepdims=True)
         ctx = (att @ values[:, :t + 1]).reshape(cfg.h)
-        x_mid = x + (ctx @ params[p + "attn.wo"] + params[p + "attn.bo"])
-        a2 = _ln_row(x_mid, params[p + "ln2.g"], params[p + "ln2.b"])
-        hg, _ = gelu_with_term(a2 @ params[p + "mlp.w1"] + params[p + "mlp.b1"])
-        x = x_mid + hg @ params[p + "mlp.w2"] + params[p + "mlp.b2"]
+        x_mid = x + (ctx @ wo + bo)
+        hg, _ = gelu_with_term(_ln_row(x_mid, g2, c2) @ w1 + b1)
+        x = x_mid + hg @ w2 + b2
     xf = _ln_row(x, params["lm.ln_f.g"], params["lm.ln_f.b"])
     return xf @ params["lm.head.w"] + params["lm.head.b"]
 
@@ -544,7 +573,7 @@ def batch_loss_and_grads(model: AlignmentModel, seqs: list[TokenSequence],
     The lm.* weight gradients are computed only when some trainable prefix
     covers an lm.* parameter (stage 2, or no prefixes at all).
     """
-    batch = pack_batch(seqs, model.vocab.pad_id)
+    batch = pack_batch(seqs, model.vocab.pad_id, model.cfg.vocab_size)
     logits, cache = _forward(model.params, model.cfg, batch, want_cache=True)
     loss_val, per_seq, filler = _loss_from_logits(logits, batch)
     dlogits = _loss_backward_into_dlogits(logits.shape, filler)
@@ -560,7 +589,7 @@ def loss(seq: TokenSequence, model: AlignmentModel) -> float:
     """Mean NLL over the sequence's masked (answer + <eos>) positions."""
     if not seq.loss_mask.any():
         raise ConfigError("sequence has no masked positions; nothing to score")
-    batch = pack_batch([seq], model.vocab.pad_id)
+    batch = pack_batch([seq], model.vocab.pad_id, model.cfg.vocab_size)
     logits, _ = _forward(model.params, model.cfg, batch, want_cache=False)
     val, _, _ = _loss_from_logits(logits, batch)
     return val
@@ -635,6 +664,16 @@ class _DecodeSequence(TokenSequence):
 
     state: _DecodeState = field(repr=False)
 
+    @classmethod
+    def unchecked(cls, tokens: np.ndarray, visuals: np.ndarray, loss_mask: np.ndarray,
+                  state: _DecodeState) -> "_DecodeSequence":
+        """The sequence of these fields, without `TokenSequence`'s checks:
+        for `generate`'s sequences, a checked prompt plus argmax ids in
+        [0, V) under an all-false mask, valid by construction."""
+        seq = cls.__new__(cls)
+        seq.__dict__.update(tokens=tokens, visuals=visuals, loss_mask=loss_mask, state=state)
+        return seq
+
 
 def forward_logits(model: AlignmentModel, seq: TokenSequence) -> np.ndarray:
     """(T, vocab) logits for one sequence; row i predicts the token at i+1.
@@ -644,16 +683,16 @@ def forward_logits(model: AlignmentModel, seq: TokenSequence) -> np.ndarray:
     """
     state = getattr(seq, "state", None)
     if state is None or not state.continues(model, seq):
-        batch = pack_batch([seq], model.vocab.pad_id)
+        batch = pack_batch([seq], model.vocab.pad_id, model.cfg.vocab_size)
         logits, _ = _forward(model.params, model.cfg, batch, want_cache=False)
         return logits[0]
     t0, t = state.n, len(seq)
     # the new rows are text tokens (`continues` checked): no visual slot, no loss
     if t0 and t == t0 + 1:
-        logits = _decode_row(model.params, model.cfg, state, seq.tokens[t0])
+        logits = _decode_row(model, state, seq.tokens[t0])
     else:
         if t0 == 0:
-            batch = pack_batch([seq], model.vocab.pad_id)
+            batch = pack_batch([seq], model.vocab.pad_id, model.cfg.vocab_size)
         else:
             new = seq.tokens[None, t0:]
             none = np.zeros(new.shape, dtype=bool)
@@ -669,8 +708,12 @@ def generate(prefix: TokenSequence, model: AlignmentModel, max_len: int = 32) ->
     """Greedily extend a prompt until <eos> or max_len new tokens.
 
     Ties break toward the lowest token id (argmax semantics). Returns the
-    generated words (specials stripped). Each new token, and the closing
-    <eos>, is one `forward_logits` call on the whole sequence so far.
+    generated words (specials stripped). The prompt is checked once, up
+    front: ConfigError when it is empty, reaches into the answer region or
+    holds a token id outside [0, V) that is not a visual slot. Each new
+    token, and the closing <eos>, is one `forward_logits` call on the whole
+    sequence so far, a `_DecodeSequence` built without re-running those
+    checks: the prompt plus argmax ids, so valid by construction.
     When the prompt's scene prefix, for the same model object, has the key
     of the stored entry (its tokens and its visuals' dtype, shape and bytes),
     the first call computes only the rows after it; otherwise the first call
@@ -680,11 +723,18 @@ def generate(prefix: TokenSequence, model: AlignmentModel, max_len: int = 32) ->
     logits are to a full pass.
     """
     global _shared_prefix
+    n = len(prefix)
+    if not n:
+        raise ConfigError("generation prompt is empty")
     if prefix.loss_mask.any():
         raise ConfigError("generation prefix must end before the answer region")
-    tokens = prefix.tokens.tolist()
-    state = _DecodeState(model, prefix.visuals,
-                         min(model.cfg.max_len, len(tokens) + max(max_len, 0)))
+    _check_token_ids(prefix.tokens, model.cfg.vocab_size)
+    horizon = min(model.cfg.max_len, n + max(max_len, 0))
+    state = _DecodeState(model, prefix.visuals, horizon)
+    # the sequence so far, and the all-false mask, as views of fixed buffers
+    tokens = np.empty(max(horizon, n), dtype=np.int64)
+    tokens[:n] = prefix.tokens
+    no_loss = np.zeros(len(tokens), dtype=bool)
     to_share = _shared_length(prefix, model.vocab.vis_close_id)
     if to_share:
         vis = prefix.visuals
@@ -693,20 +743,18 @@ def generate(prefix: TokenSequence, model: AlignmentModel, max_len: int = 32) ->
         if shared is not None and shared[1].model() is model and shared[0] == key:
             state.fork(shared[1], to_share)
             to_share = 0
-    generated: list[int] = []
     eos = model.vocab.eos_id
     for _ in range(max_len):
-        if len(tokens) >= model.cfg.max_len:
+        if n >= model.cfg.max_len:
             break
-        seq = _DecodeSequence(np.array(tokens, dtype=np.int64), prefix.visuals,
-                              np.zeros(len(tokens), dtype=bool), state)
+        seq = _DecodeSequence.unchecked(tokens[:n], prefix.visuals, no_loss[:n], state)
         logits = forward_logits(model, seq)
         if to_share and state.n >= to_share:  # the prompt pass filled the state
             _shared_prefix = (key, state)
             to_share = 0
-        nxt = int(np.argmax(logits[-1]))
+        nxt = int(logits[-1].argmax())
         if nxt == eos:
             break
-        generated.append(nxt)
-        tokens.append(nxt)
-    return model.vocab.decode(generated)
+        tokens[n] = nxt
+        n += 1
+    return model.vocab.decode(tokens[len(prefix):n].tolist())

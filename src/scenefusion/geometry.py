@@ -9,6 +9,7 @@ double precision.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +17,9 @@ import numpy as np
 from .errors import ConfigError
 
 _ORTHO_TOL = 1e-9
+_EYE3 = np.eye(3)
+# np.allclose(r.T @ r, I, atol=_ORTHO_TOL)'s bound on |r.T @ r - I|: atol + rtol * |I|
+_ORTHO_BOUND = _ORTHO_TOL + 1e-5 * _EYE3
 
 
 @dataclass(frozen=True)
@@ -48,7 +52,9 @@ class Pose:
         t = np.asarray(self.translation, dtype=np.float64).reshape(3)
         if r.shape != (3, 3):
             raise ConfigError(f"rotation must be 3x3, got {r.shape}")
-        if not np.allclose(r.T @ r, np.eye(3), atol=_ORTHO_TOL):
+        with np.errstate(invalid="ignore", over="ignore"):  # NaN/inf fail the test below
+            err = np.abs(r.T @ r - _EYE3)
+        if not (err <= _ORTHO_BOUND).all():
             raise ConfigError("rotation is not orthonormal")
         if abs(np.linalg.det(r) - 1.0) > _ORTHO_TOL:
             raise ConfigError("rotation determinant is not +1 (improper rotation)")
@@ -130,8 +136,23 @@ def to_world(camera_points: np.ndarray, pose: Pose) -> np.ndarray:
     p = np.asarray(camera_points, dtype=np.float64)
     single = p.ndim == 1
     p = p.reshape(-1, 3)
-    out = p @ pose.rotation.T + pose.translation
+    out = p @ np.ascontiguousarray(pose.rotation.T) + pose.translation
     return out[0] if single else out
+
+
+def _norm(v: list[float]) -> float:
+    """np.linalg.norm of a 3-vector: the square root of numpy's dot, whose
+    rounding a Python sum of squares does not reproduce."""
+    a = np.array(v)
+    return math.sqrt(a.dot(a))
+
+
+def _cross(a: list[float], b: list[float]) -> list[float]:
+    """np.cross of two 3-vectors, in Python floats: the same multiplies and
+    subtracts, so the same bits."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
 
 
 def look_at_pose(eye: np.ndarray, target: np.ndarray, up=(0.0, 0.0, 1.0)) -> Pose:
@@ -141,21 +162,20 @@ def look_at_pose(eye: np.ndarray, target: np.ndarray, up=(0.0, 0.0, 1.0)) -> Pos
     world terms so that up in the image is up in the world).
     """
     eye = np.asarray(eye, dtype=np.float64).reshape(3)
-    target = np.asarray(target, dtype=np.float64).reshape(3)
-    fwd = target - eye
-    n = np.linalg.norm(fwd)
+    fwd = (np.asarray(target, dtype=np.float64).reshape(3) - eye).tolist()
+    n = _norm(fwd)
     if n < 1e-12:
         raise ConfigError("look_at: eye and target coincide")
-    fwd = fwd / n
-    upv = np.asarray(up, dtype=np.float64).reshape(3)
-    right = np.cross(fwd, upv)
-    rn = np.linalg.norm(right)
+    fwd = [c / n for c in fwd]
+    right = _cross(fwd, np.asarray(up, dtype=np.float64).reshape(3).tolist())
+    rn = _norm(right)
     if rn < 1e-12:
         # Forward is (anti)parallel to up; pick an arbitrary perpendicular.
-        upv = np.array([1.0, 0.0, 0.0])
-        right = np.cross(fwd, upv)
-        rn = np.linalg.norm(right)
-    right = right / rn
-    down = np.cross(fwd, right)
-    rot = np.stack([right, down, fwd], axis=1)  # columns: camera x, y, z in world
+        right = _cross(fwd, [1.0, 0.0, 0.0])
+        rn = _norm(right)
+        if rn == 0.0:
+            raise ConfigError("look_at: up and the x axis are both parallel to the view")
+    right = [c / rn for c in right]
+    down = _cross(fwd, right)
+    rot = np.array(list(zip(right, down, fwd)))  # columns: camera x, y, z in world
     return Pose(rot, eye)

@@ -17,6 +17,8 @@ the frame's features where the frame sees, and the OR of the visibilities.
 `full_backward` is the transformer's backward pass as one pass that computes
 every gradient, with its own GELU, layer-norm and projection helpers; the
 stage-aware backward must return the same bits for every key it returns.
+`numpy_look_at` is the camera frame built from `np.cross`, `np.linalg.norm`
+and `np.stack`, which `look_at_pose` must match bit for bit.
 """
 
 import math
@@ -25,6 +27,22 @@ import numpy as np
 from scipy.special import erf
 
 from scenefusion.worldsim import COLOR_TABLE
+
+
+def numpy_look_at(eye, target, up=(0.0, 0.0, 1.0)):
+    """(rotation, translation) of the camera at `eye` looking at `target`,
+    from numpy's vector routines; None when eye and target coincide."""
+    eye = np.asarray(eye, dtype=np.float64).reshape(3)
+    fwd = np.asarray(target, dtype=np.float64).reshape(3) - eye
+    n = np.linalg.norm(fwd)
+    if n < 1e-12:
+        return None
+    fwd = fwd / n
+    right = np.cross(fwd, np.asarray(up, dtype=np.float64).reshape(3))
+    if np.linalg.norm(right) < 1e-12:  # forward (anti)parallel to up
+        right = np.cross(fwd, np.array([1.0, 0.0, 0.0]))
+    right = right / np.linalg.norm(right)
+    return np.stack([right, np.cross(fwd, right), fwd], axis=1), eye
 
 
 def brute_layout(points, r):

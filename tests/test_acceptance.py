@@ -214,7 +214,7 @@ class TestCriterion4GradientFidelity:
                 "scene" if i % 2 else "frame", rng.normal(size=(n_vis, 7)),
                 " ".join(rng.choice(words, int(rng.integers(1, 6)))),
                 " ".join(rng.choice(words, int(rng.integers(1, 4)))), vocab)
-            batch = pack_batch([seq], vocab.pad_id)
+            batch = pack_batch([seq], vocab.pad_id, len(vocab))
             logits, _ = _forward(model.params, model.cfg, batch, want_cache=False)
             _, _, filler = _loss_from_logits(logits, batch)
             dlogits = _loss_backward_into_dlogits(logits.shape, filler)

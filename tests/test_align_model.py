@@ -194,7 +194,7 @@ class TestStageAwareBackward:
         for case in range(60):
             rng = np.random.default_rng(9000 + case)
             model, seqs = _random_training_case(rng, vocab, case)
-            batch = pack_batch(seqs, vocab.pad_id)
+            batch = pack_batch(seqs, vocab.pad_id, len(vocab))
             logits, cache = _forward(model.params, model.cfg, batch, want_cache=True)
             ref_loss, _, filler = _loss_from_logits(logits, batch)
             dlogits = _loss_backward_into_dlogits(logits.shape, filler)
@@ -230,7 +230,7 @@ class TestMaskAndCausality:
             pack_batch,
         )
 
-        batch = pack_batch([seq], model.vocab.pad_id)
+        batch = pack_batch([seq], model.vocab.pad_id, model.cfg.vocab_size)
         logits, _ = _forward(model.params, model.cfg, batch, want_cache=False)
         _, _, filler = _loss_from_logits(logits, batch)
         dlogits = _loss_backward_into_dlogits(logits.shape, filler)
@@ -294,6 +294,37 @@ class TestGenerate:
         seq = assemble_sequence("scene", np.zeros((1, 7)), "w1", "", vocab)
         out = generate(seq.prefix_before_answer(), model, max_len=3)
         assert out == ""  # pad is a special token, stripped from the text
+
+    @pytest.mark.parametrize("bad", [-3, -2, "V", "V+5"])
+    def test_token_ids_outside_the_vocabulary_are_errors(self, vocab, bad):
+        """generate's prompt check and pack_batch (so forward_logits and the
+        loss) refuse an id outside [0, V) that is not a visual slot."""
+        model = tiny_model(vocab)
+        v = model.cfg.vocab_size
+        bad = {"V": v, "V+5": v + 5}.get(bad, bad)
+        prompt = assemble_sequence("scene", np.zeros((2, 7)), "w1 w2", "", vocab)
+        prompt = prompt.prefix_before_answer()
+        tokens = prompt.tokens.copy()
+        tokens[-1] = bad
+        seq = _plain(tokens, prompt.visuals)
+        message = rf"token id {bad} is outside the vocabulary \[0, {v}\)"
+        for call in (lambda: generate(seq, model, max_len=4),
+                     lambda: forward_logits(model, seq),
+                     lambda: pack_batch([prompt, seq], vocab.pad_id, v)):
+            with pytest.raises(ConfigError, match=message):
+                call()
+        answered = assemble_sequence("scene", np.zeros((2, 7)), "w1 w2", "w3", vocab)
+        answered.tokens[5] = bad  # "w1"
+        with pytest.raises(ConfigError, match=message):
+            loss(answered, model)
+        tokens[-1] = v - 1  # the largest id, next to visual slots and id 0
+        tokens[0] = 0
+        assert isinstance(generate(_plain(tokens, prompt.visuals), model, max_len=2), str)
+
+    def test_empty_prompt_is_an_error(self, vocab):
+        model = tiny_model(vocab)
+        with pytest.raises(ConfigError, match="generation prompt is empty"):
+            generate(_plain([], np.zeros((0, 7))), model)
 
 
 def _decode_model(vocab, seed):
@@ -507,6 +538,38 @@ class TestCachedDecode:
         generate(prefix, model, max_len=max_len)
         assert n_checked >= 2
 
+    def test_every_decode_sequence_is_a_valid_token_sequence(self, vocab, monkeypatch):
+        """`generate` builds its per-token sequences without re-running
+        `TokenSequence`'s checks; each must pass them: the prompt's visuals,
+        ids in [0, V) or visual slots, an all-false mask. Cold, on every
+        call after the first, and on a shared-prefix hit."""
+        full = model_module.forward_logits
+        seen = {"cold": 0, "later": 0, "hit": 0}
+        first = []
+
+        def rebuild(m, seq):
+            checked = TokenSequence(seq.tokens, seq.visuals, seq.loss_mask)
+            assert isinstance(seq, model_module._DecodeSequence)
+            assert checked.tokens.tobytes() == seq.tokens.tobytes()
+            assert checked.visuals is seq.visuals and not seq.loss_mask.any()
+            assert seq.loss_mask.shape == seq.tokens.shape
+            text = seq.tokens[seq.tokens != -1]
+            assert text.min() >= 0 and text.max() < m.cfg.vocab_size
+            if first:
+                seen["later"] += 1
+            else:
+                seen["hit" if seq.state.n else "cold"] += 1
+            first.append(seq)
+            return full(m, seq)
+
+        monkeypatch.setattr(model_module, "forward_logits", rebuild)
+        rng = np.random.default_rng(15)
+        for model, prefix, max_len in _decode_cases(vocab):
+            for prompt in (prefix, _same_scene(rng, vocab, prefix)):
+                first.clear()
+                generate(prompt, model, max_len=max_len)
+        assert seen["cold"] >= 20 and seen["hit"] >= 10 and seen["later"] > 200
+
     def test_full_pass_matches_pinned_digest(self, vocab):
         """sha256 over `forward_logits` of plain sequences, pinned before the
         decode cache existed (float64, this numpy/OpenBLAS build)."""
@@ -564,7 +627,7 @@ class TestDecodeRow:
             none = np.zeros((1, 1), dtype=bool)
             batch = model_module.PackedBatch(token[None], none, np.zeros((0, 1)), none)
             ref, _ = _forward(model.params, cfg, batch, False, past=ref_state)
-            row = model_module._decode_row(model.params, cfg, row_state, token[0])
+            row = model_module._decode_row(model, row_state, token[0])
             assert _same_bits(row, ref[0, 0])
             for mine, theirs in zip(row_state.keys + row_state.values,
                                     ref_state.keys + ref_state.values):
@@ -577,9 +640,9 @@ class TestDecodeRow:
         real = model_module._decode_row
         rows = []
 
-        def spy(params, cfg, state, token):
+        def spy(model, state, token):
             rows.append(state.n)
-            return real(params, cfg, state, token)
+            return real(model, state, token)
 
         monkeypatch.setattr(model_module, "_decode_row", spy)
         rng = np.random.default_rng(14)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import numpy_look_at
 
 from scenefusion.errors import ConfigError
 from scenefusion.geometry import (
@@ -47,6 +48,28 @@ class TestTypes:
         r = np.diag([1.0, 1.0, -1.0])
         with pytest.raises(ConfigError):
             Pose(r, np.zeros(3))
+
+    @pytest.mark.parametrize("rotation, message", [
+        (np.eye(3) + 2e-9, "not orthonormal"),  # just past np.allclose's atol
+        (np.full((3, 3), np.nan), "not orthonormal"),
+        (np.diag([np.inf, 1.0, 1.0]), "not orthonormal"),
+        (np.diag([-np.inf, 1.0, 1.0]), "not orthonormal"),
+        (np.eye(3) * 1e200, "not orthonormal"),  # r.T @ r overflows
+        (np.diag([1.0, -1.0, 1.0]), "improper rotation"),
+        (-np.eye(3), "improper rotation"),
+    ])
+    def test_pose_rejects_bad_rotations_by_name(self, rotation, message):
+        with pytest.raises(ConfigError, match=message):
+            Pose(rotation, np.zeros(3))
+
+    def test_pose_accepts_within_allclose_tolerance(self):
+        """np.allclose's rule: off the diagonal, |r.T r - I| <= 1e-9."""
+        off = np.eye(3)
+        off[0, 1] = 4e-10
+        Pose(off, np.zeros(3))
+        off[0, 1] = 2e-9
+        with pytest.raises(ConfigError, match="not orthonormal"):
+            Pose(off, np.zeros(3))
 
     def test_depth_rejects_negative_valid_depth(self):
         vals = np.full((2, 2), -1.0)
@@ -136,6 +159,14 @@ class TestToWorld:
         d_out = np.linalg.norm(out[:, None] - out[None, :], axis=-1)
         np.testing.assert_allclose(d_out, d_in, rtol=1e-9, atol=1e-12)
 
+    def test_matches_matmul_by_transposed_rotation_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        for n in (1, 7, 500):
+            pose = _random_pose(rng)
+            pts = rng.normal(size=(n, 3)) * 10.0
+            expected = pts @ pose.rotation.T + pose.translation
+            assert to_world(pts, pose).tobytes() == expected.tobytes()
+
 
 class TestLookAt:
     def test_forward_axis_points_at_target(self):
@@ -152,3 +183,32 @@ class TestLookAt:
                 continue
             pose = look_at_pose(eye, target)  # Pose validates orthonormality
             assert abs(np.linalg.det(pose.rotation) - 1.0) < 1e-9
+
+    def test_matches_numpy_cross_formula_bit_for_bit(self):
+        """1,200 seeded eye/target pairs over six scales, then every axis
+        direction and near-vertical views, where forward is (anti)parallel to
+        up and the fallback perpendicular is taken."""
+        rng = np.random.default_rng(21)
+        pairs = [rng.normal(size=(2, 3)) * scale
+                 for scale in (1e-3, 0.1, 1.0, 3.0, 50.0, 1e4) for _ in range(200)]
+        eye = rng.normal(size=3)
+        for axis in np.vstack([np.eye(3), -np.eye(3)]):
+            pairs.append(np.stack([eye, eye + 2.5 * axis]))
+        pairs.append(np.stack([eye, eye + [1e-14, 0.0, -1.0]]))  # |right| < 1e-12
+        fallbacks = 0
+        for e, t in pairs:
+            rot, trans = numpy_look_at(e, t)
+            pose = look_at_pose(e, t)
+            assert pose.rotation.tobytes() == rot.tobytes()
+            assert pose.rotation.flags.c_contiguous
+            assert pose.translation.tobytes() == trans.tobytes()
+            fallbacks += bool(np.linalg.norm(np.cross(rot[:, 2], [0.0, 0.0, 1.0])) < 1e-12)
+        assert len(pairs) >= 1000 and fallbacks == 3
+
+    @pytest.mark.parametrize("target, up, message", [
+        ([1.0, 2.0, 3.0], (0.0, 0.0, 1.0), "coincide"),
+        ([3.0, 2.0, 3.0], (1.0, 0.0, 0.0), "parallel to the view"),
+    ])
+    def test_degenerate_views_are_errors(self, target, up, message):
+        with pytest.raises(ConfigError, match=message):
+            look_at_pose([1.0, 2.0, 3.0], target, up)

@@ -208,6 +208,18 @@ class TestEgocentricStep:
         desc = egocentric_step(zero_frame, model, 0.25, CFG)
         assert isinstance(desc, str)
 
+    def test_generation_failure_degrades_to_empty_with_a_warning(self, memorized):
+        """A model whose proj_in differs from the frame tokens' width makes
+        `generate` raise; the step returns "" and warns instead."""
+        _, _, _, frame, model, _, _ = memorized
+        width = frame_tokens(frame, 0.25, CFG).shape[1]
+        cfg = ModelConfig(vocab_size=len(model.vocab), h=8, n_layers=1, n_heads=2, ff=16,
+                          max_len=128, proj_in=width + 1, proj_mid=4)
+        narrow = AlignmentModel.create(cfg, model.vocab, seed=0)
+        with pytest.warns(UserWarning, match=f"egocentric description failed: visual "
+                                             f"vector dim {width} does not match proj_in"):
+            assert egocentric_step(frame, narrow, 0.25, CFG) == ""
+
 
 class TestOracleEpisodes:
     def test_oracle_success_and_trajectory(self):
